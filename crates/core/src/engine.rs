@@ -5,7 +5,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use dp_bdd::{BudgetConfig, Cube, Manager, NodeId};
 use dp_faults::{BridgeKind, BridgingFault, Fault, FaultSite, StuckAtFault};
-use dp_netlist::{Circuit, Driver, GateKind, NetId, Reachability};
+use dp_netlist::{Circuit, Driver, GateKind, NetId, Reachability, XorMacros};
 use dp_telemetry::{CounterKind, HistKind, SharedCollector, SpanKind};
 
 use crate::delta::{delta_output, naive_delta_output};
@@ -116,7 +116,8 @@ pub struct FaultAnalysis {
     pub site_function_constant: bool,
     /// Gate deltas the propagation loop computed for this fault — a
     /// scheduling-invariant measure of propagation work (selective trace
-    /// skips do not count).
+    /// skips do not count). A four-NAND XOR the fault crosses from outside
+    /// (a closed [`XorMacros`] macro) counts as one propagated gate.
     pub gates_propagated: u32,
     /// Ternary fixpoint sweeps a feedback-bridge analysis ran before the
     /// bridged wire stabilised. Zero for every acyclic fault model (single
@@ -299,6 +300,10 @@ pub struct DiffProp<'c> {
     /// `false` entry compute nothing observable, so the propagation frontier
     /// never enters them.
     feeds_output: Vec<bool>,
+    /// Four-NAND XORs (the C499 → C1355 expansion). A difference entering
+    /// one from outside crosses it with the Table-1 XOR row instead of four
+    /// NAND rows; see [`DiffProp::propagate`].
+    xor_macros: XorMacros,
     /// Optional telemetry sink. Strictly observational: attaching one never
     /// changes an analysis result, only records spans and counters. The
     /// engine touches it once per propagation (plus once per gate at
@@ -338,6 +343,7 @@ impl<'c> DiffProp<'c> {
         let gc_baseline = good.num_nodes();
         let reach = Reachability::compute(circuit);
         let feeds_output = reach.feeds_output_flags(circuit);
+        let xor_macros = XorMacros::find(circuit);
         DiffProp {
             circuit,
             good,
@@ -347,6 +353,7 @@ impl<'c> DiffProp<'c> {
             sift_runs: 0,
             reach,
             feeds_output,
+            xor_macros,
             telemetry: None,
         }
     }
@@ -1022,6 +1029,14 @@ impl<'c> DiffProp<'c> {
     /// gates that feed no primary output never enter the frontier. Both
     /// skips elide work whose result is the identity, so every returned
     /// value is bit-identical to the unrestricted engine's.
+    ///
+    /// Macro rule (Table-1 mode only): a four-NAND XOR computes `a ⊕ c`, so
+    /// a difference entering it from outside leaves it as `Δa ⊕ Δc`. Unless
+    /// the fault lands inside the macro — a site on `t1`/`t2`/`t3`, or a
+    /// pinned branch into any of its four gates — the internal gates are
+    /// skipped: a worklist hit on them just enqueues the macro output, which
+    /// takes the XOR row. The internal nets feed nothing else, and OBDDs are
+    /// canonical, so every result is bit-identical to gate-by-gate.
     fn propagate(&mut self, init: SiteInit) -> Propagated {
         let circuit = self.circuit;
         // Reading the level once keeps the per-gate path to a plain branch;
@@ -1047,6 +1062,17 @@ impl<'c> DiffProp<'c> {
                     .any(|&f| self.reach.reaches(NetId::from_index(f), o))
             })
             .collect();
+        // Macros this fault lands inside go gate by gate.
+        let mut open_macros: Vec<usize> = Vec::new();
+        if self.config.table1 && !self.xor_macros.is_empty() {
+            let sites = site_nets
+                .iter()
+                .filter_map(|&n| self.xor_macros.internal_macro_of(NetId::from_index(n)));
+            let sinks = branch_deltas
+                .keys()
+                .filter_map(|&(sink, _)| self.xor_macros.macro_of(NetId::from_index(sink)));
+            open_macros.extend(sites.chain(sinks));
+        }
         let mut goods_buf: Vec<NodeId> = Vec::new();
         let mut deltas_buf: Vec<NodeId> = Vec::new();
         while let Some(idx) = worklist.pop_first() {
@@ -1057,6 +1083,22 @@ impl<'c> DiffProp<'c> {
             let Driver::Gate { kind, fanins } = circuit.driver(net) else {
                 continue;
             };
+            let (mut kind, mut fanins) = (*kind, fanins.as_slice());
+            let closed = self
+                .xor_macros
+                .macro_of(net)
+                .filter(|id| self.config.table1 && !open_macros.contains(id))
+                .map(|id| self.xor_macros.macros()[id]);
+            let xor_fanins;
+            if let Some(mac) = closed {
+                if net != mac.out {
+                    worklist.insert(mac.out.index());
+                    continue;
+                }
+                xor_fanins = [mac.a, mac.c];
+                kind = GateKind::Xor;
+                fanins = &xor_fanins;
+            }
             goods_buf.clear();
             deltas_buf.clear();
             for (pin, f) in fanins.iter().enumerate() {
@@ -1075,9 +1117,9 @@ impl<'c> DiffProp<'c> {
             let gate_t0 = detailed.then(std::time::Instant::now);
             let m = self.good.manager_mut();
             let dg = if self.config.table1 {
-                delta_output(m, *kind, &goods_buf, &deltas_buf)
+                delta_output(m, kind, &goods_buf, &deltas_buf)
             } else {
-                naive_delta_output(m, *kind, &goods_buf, &deltas_buf)
+                naive_delta_output(m, kind, &goods_buf, &deltas_buf)
             };
             gates_propagated += 1;
             if let Some(t0) = gate_t0 {

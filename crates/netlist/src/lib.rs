@@ -21,6 +21,9 @@
 //! * netlist **transformations**: n-input → 2-input gate decomposition and
 //!   the XOR → four-NAND expansion that derives C1355 from C499
 //!   ([`decompose_two_input`], [`expand_xor_to_nand`]),
+//! * recognition of the **four-NAND XOR** motif that expansion emits
+//!   ([`XorMacros`]), so the engine can propagate across it with one
+//!   Table-1 XOR apply,
 //! * programmatic **generators** for the paper's benchmark set
 //!   ([`generators`]).
 //!
@@ -44,6 +47,7 @@ mod reach;
 mod scoap;
 mod topology;
 mod transform;
+mod xor_macro;
 
 pub use bench_format::{parse_bench, write_bench};
 pub use circuit::{Circuit, CircuitBuilder, Driver, FanoutBranch, GateKind, NetId};
@@ -52,3 +56,4 @@ pub use reach::Reachability;
 pub use scoap::Scoap;
 pub use topology::{Placement, Point};
 pub use transform::{decompose_two_input, expand_xor_to_nand};
+pub use xor_macro::{XorMacro, XorMacros};

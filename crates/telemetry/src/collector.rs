@@ -141,7 +141,8 @@ pub enum CounterKind {
     BudgetTrips,
     /// Fault summaries degraded to sampled simulator estimates.
     SimFallbacks,
-    /// Gate deltas computed by the propagation loop.
+    /// Gate deltas computed by the propagation loop. A four-NAND XOR that a
+    /// fault crosses from outside (a closed XOR macro) counts as one gate.
     GatesPropagated,
     /// Chunks claimed from the work-stealing queue.
     ChunksClaimed,

@@ -11,7 +11,9 @@
 //! realisation of the same 0/1/X semantics the engine computes
 //! symbolically. Agreement pins the whole DP pipeline — good functions,
 //! Table-1 propagation, the ternary fixpoint, counting — to oracles that
-//! share no code with it.
+//! share no code with it. The same oracles cover the NAND-expanded versions
+//! of the full adder, c95 and the 74181, where the engine crosses each
+//! four-NAND XOR with one Table-1 XOR apply.
 
 mod common;
 
@@ -20,12 +22,12 @@ use common::{
     feedback_universe, multi_universe, stuck_at_universe, GOLDEN_PATH,
 };
 use diffprop::core::{
-    analyze_universe, plan_batches, sweep_universe, DiffProp, EngineConfig, OrderStrategy,
-    Parallelism, SweepConfig,
+    analyze_universe, plan_batches, summary_line, sweep_universe, DiffProp, EngineConfig,
+    OrderStrategy, Parallelism, SweepConfig,
 };
-use diffprop::faults::{collapse_faults, Fault};
+use diffprop::faults::{collapse_faults, Fault, FaultSite, StuckAtFault};
 use diffprop::netlist::generators::{alu74181, c17, c432_surrogate, c499_surrogate, c95, full_adder};
-use diffprop::netlist::{Circuit, Reachability};
+use diffprop::netlist::{expand_xor_to_nand, Circuit, Reachability, XorMacros};
 use diffprop::sim::{detects, exhaustive_detectability, faulty_outputs};
 
 /// Per-fault brute-force truth: exact detecting-vector count and the set of
@@ -445,4 +447,99 @@ fn batch_packing_is_deterministic_and_cone_sound() {
 #[test]
 fn c499s_sampled_stuck_at_matches_scalar_oracle_under_ordering() {
     check_surrogate_sampled(&c499_surrogate(), 24, 64);
+}
+
+// ---------------------------------------------------------------------------
+// NAND-expanded XORs: the macro rule pinned to ground truth.
+//
+// `expand_xor_to_nand` turns every XOR into the four-NAND motif that the
+// engine crosses with one Table-1 XOR apply (`XorMacros`). A fault inside a
+// motif (a site on an internal net, a pinned branch into one of its gates)
+// opens it and goes gate by gate; every other fault skips the internal
+// gates. Both paths must match the exhaustive simulator and, summary line
+// for summary line, the strictly gate-by-gate `table1: false` engine.
+// ---------------------------------------------------------------------------
+
+/// An evenly spaced sample of at most `cap` faults from each of the
+/// stuck-at, AND/OR NFBF and pairwise multiple stuck-at universes.
+fn sampled_model_faults(circuit: &Circuit, cap: usize) -> Vec<Fault> {
+    let mut faults = Vec::new();
+    for universe in [
+        stuck_at_universe(circuit),
+        bridging_universe(circuit, usize::MAX),
+        multi_universe(circuit, usize::MAX),
+    ] {
+        let step = universe.len().div_ceil(cap).max(1);
+        faults.extend(universe.into_iter().step_by(step).take(cap));
+    }
+    faults
+}
+
+/// Every fault's summary line equals the gate-by-gate engine's. Collapsing
+/// is off so each fault runs its own propagation.
+fn assert_matches_gate_by_gate(circuit: &Circuit, faults: &[Fault]) {
+    let lines = |table1: bool| -> Vec<String> {
+        let config = SweepConfig {
+            engine: EngineConfig {
+                table1,
+                ..Default::default()
+            },
+            collapse: false,
+            ..Default::default()
+        };
+        let sweep = sweep_universe(circuit, faults, &config);
+        assert!(sweep.is_complete());
+        sweep
+            .summaries
+            .iter()
+            .enumerate()
+            .map(|(i, s)| summary_line(i, s))
+            .collect()
+    };
+    let reference = lines(false);
+    assert_eq!(reference.len(), faults.len());
+    for (want, got) in reference.iter().zip(lines(true)) {
+        assert_eq!(want, &got, "macro rule drifted on {}", circuit.name());
+    }
+}
+
+/// Expands `base`, then checks `cap` sampled faults per model against the
+/// exhaustive simulator and the gate-by-gate engine.
+fn check_expanded(base: &Circuit, cap: usize) {
+    let circuit = expand_xor_to_nand(base).expect("expansion is closed");
+    let macros = XorMacros::find(&circuit);
+    assert!(!macros.is_empty(), "{} has no XOR to expand", base.name());
+    let faults = sampled_model_faults(&circuit, cap);
+    check_universe(&circuit, &faults);
+    assert_matches_gate_by_gate(&circuit, &faults);
+    // The rule really fires: a stuck macro input crosses the macro as one
+    // gate instead of four.
+    let fault = Fault::from(StuckAtFault {
+        site: FaultSite::Net(macros.macros()[0].a),
+        value: false,
+    });
+    let naive = EngineConfig {
+        table1: false,
+        ..Default::default()
+    };
+    let fast = DiffProp::new(&circuit).analyze(&fault);
+    let slow = DiffProp::with_config(&circuit, naive).analyze(&fault);
+    assert_eq!(fast.test_count, slow.test_count);
+    assert!(fast.gates_propagated < slow.gates_propagated);
+}
+
+#[test]
+fn expanded_full_adder_matches_exhaustive_and_gate_by_gate() {
+    check_expanded(&full_adder(), usize::MAX);
+}
+
+#[test]
+fn expanded_c95_matches_exhaustive_and_gate_by_gate() {
+    check_expanded(&c95(), 120);
+}
+
+#[test]
+fn expanded_alu74181_sampled_matches_exhaustive_and_gate_by_gate() {
+    // 2^14 scalar simulations per oracle call: a small sample per model.
+    check_expanded(&alu74181(), 10);
 }

@@ -92,14 +92,19 @@ fn atpg_covers_c432_surrogate() {
 /// The C1355 surrogate relationship: functionally identical to C499's, so
 /// PI faults have identical complete test sets while the netlist is much
 /// larger — the exact setup behind the paper's Figure 2 comparison.
+///
+/// A PI-stem fault only ever enters c1355s's four-NAND XORs from outside,
+/// so every macro it crosses takes the one-apply XOR rule: matching c499s
+/// on every PI and both stuck values pins that rule end to end.
 #[test]
 fn c499_c1355_share_pi_fault_test_sets() {
     let c499 = generators::c499_surrogate();
     let c1355 = generators::c1355_surrogate();
     assert!(c1355.num_gates() > 2 * c499.num_gates());
+    assert_eq!(c499.num_inputs(), 41);
     let mut dp_a = DiffProp::new(&c499);
     let mut dp_b = DiffProp::new(&c1355);
-    for i in [0usize, 7, 33, 40] {
+    for i in 0..c499.num_inputs() {
         for value in [false, true] {
             let fa = Fault::from(diffprop::faults::StuckAtFault {
                 site: diffprop::faults::FaultSite::Net(c499.inputs()[i]),
@@ -112,6 +117,16 @@ fn c499_c1355_share_pi_fault_test_sets() {
             let a = dp_a.analyze(&fa);
             let b = dp_b.analyze(&fb);
             assert_eq!(a.test_count, b.test_count, "PI {i} s-a-{value}");
+            assert_eq!(
+                a.detectability.to_bits(),
+                b.detectability.to_bits(),
+                "PI {i} s-a-{value}"
+            );
+            assert_eq!(a.is_detectable(), b.is_detectable(), "PI {i} s-a-{value}");
+            assert_eq!(
+                a.observable_outputs, b.observable_outputs,
+                "PI {i} s-a-{value}"
+            );
         }
     }
 }
