@@ -1,8 +1,8 @@
-//! Serial vs sharded fault-universe sweeps (`dp_core::analyze_universe`).
+//! Serial vs sharded fault-universe sweeps (`dp_core::sweep_universe`).
 //!
 //! The workload the acceptance story cares about: the full collapsed
 //! checkpoint stuck-at universe of the 74LS181 ALU, analysed end to end
-//! (per-shard good-function build included, exactly as a cold sweep pays
+//! (the one-off good-function build included, exactly as a cold sweep pays
 //! it). On a multicore host `threads=4` should finish the sweep at least
 //! ~2× faster than serial; on a single hardware thread the sharded runs
 //! only measure the sharding overhead. Either way the summaries are
@@ -19,9 +19,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dp_bench::{record_bench_result, BenchRecord};
-use dp_core::{
-    analyze_universe, sweep_universe, EngineConfig, Parallelism, SweepConfig, TelemetryLevel,
-};
+use dp_core::{sweep_universe, Parallelism, SweepConfig, SweepResult, TelemetryLevel};
 use dp_faults::{enumerate_nfbfs, BridgeKind, Fault};
 use dp_netlist::generators::alu74181;
 use dp_netlist::Circuit;
@@ -41,15 +39,19 @@ fn record_results(circuit: &Circuit, faults: &[Fault], model: &str) {
     }
 }
 
+/// A default-configured sweep at the given parallelism.
+fn sweep(circuit: &Circuit, faults: &[Fault], parallelism: Parallelism) -> SweepResult {
+    let config = SweepConfig {
+        parallelism,
+        ..Default::default()
+    };
+    sweep_universe(circuit, faults, &config)
+}
+
 fn verify_identical(circuit: &Circuit, faults: &[Fault]) {
-    let serial = analyze_universe(circuit, faults, EngineConfig::default(), Parallelism::Serial);
+    let serial = sweep(circuit, faults, Parallelism::Serial);
     for n in THREAD_COUNTS {
-        let sharded = analyze_universe(
-            circuit,
-            faults,
-            EngineConfig::default(),
-            Parallelism::Threads(n),
-        );
+        let sharded = sweep(circuit, faults, Parallelism::Threads(n));
         assert_eq!(
             serial.summaries, sharded.summaries,
             "threads={n} diverged from serial"
@@ -62,25 +64,11 @@ fn sweep_group(c: &mut Criterion, group_name: &str, circuit: &Circuit, faults: &
     let mut group = c.benchmark_group(group_name);
     group.sample_size(10);
     group.bench_function("serial", |b| {
-        b.iter(|| {
-            black_box(analyze_universe(
-                circuit,
-                faults,
-                EngineConfig::default(),
-                Parallelism::Serial,
-            ))
-        })
+        b.iter(|| black_box(sweep(circuit, faults, Parallelism::Serial)))
     });
     for n in THREAD_COUNTS {
         group.bench_function(format!("threads_{n}"), |b| {
-            b.iter(|| {
-                black_box(analyze_universe(
-                    circuit,
-                    faults,
-                    EngineConfig::default(),
-                    Parallelism::Threads(n),
-                ))
-            })
+            b.iter(|| black_box(sweep(circuit, faults, Parallelism::Threads(n))))
         });
     }
     group.finish();

@@ -38,9 +38,9 @@ pub struct EngineConfig {
     /// `f64::INFINITY` to restore threshold-only behaviour.
     pub gc_growth: f64,
     /// Work budget for the BDD manager. Only the fallible entry points
-    /// ([`DiffProp::try_analyze`], [`DiffProp::try_analyze_multi_stuck_at`],
-    /// [`DiffProp::try_with_config`]) honour it — the infallible methods
-    /// temporarily lift it so their answers stay exact. The default,
+    /// ([`DiffProp::try_analyze`], [`DiffProp::try_analyze_stuck_at_batch`],
+    /// [`DiffProp::try_with_config`]) honour it — [`DiffProp::analyze`]
+    /// temporarily lifts it so its answers stay exact. The default,
     /// [`BudgetConfig::UNLIMITED`], reproduces unbounded behaviour.
     pub budget: BudgetConfig,
     /// How the manager's variable order is chosen (and whether the engine
@@ -144,40 +144,8 @@ impl FaultAnalysis {
     }
 }
 
-/// The result of analysing a **multiple stuck-at fault** (all components
-/// present simultaneously). Same validity rules as [`FaultAnalysis`].
-#[derive(Debug, Clone)]
-pub struct MultiFaultAnalysis {
-    /// The simultaneous stuck-at components.
-    pub components: Vec<StuckAtFault>,
-    /// Difference observed at each primary output.
-    pub po_deltas: Vec<NodeId>,
-    /// The complete test set of the multiple fault.
-    pub test_set: NodeId,
-    /// Exact detection probability.
-    pub detectability: f64,
-    /// Exact number of detecting vectors (circuits of ≤ 127 inputs).
-    pub test_count: Option<u128>,
-    /// Per-output observability flags.
-    pub observable_outputs: Vec<bool>,
-    /// Gate deltas computed while propagating the combined fronts.
-    pub gates_propagated: u32,
-}
-
-impl MultiFaultAnalysis {
-    /// `true` when at least one input vector detects the multiple fault.
-    pub fn is_detectable(&self) -> bool {
-        !self.test_set.is_false()
-    }
-
-    /// Number of primary outputs at which the fault is observable.
-    pub fn num_observable(&self) -> usize {
-        self.observable_outputs.iter().filter(|&&b| b).count()
-    }
-}
-
-/// What one propagation run produced — the shared tail of
-/// [`FaultAnalysis`] and [`MultiFaultAnalysis`].
+/// What one propagation run produced — the fault-independent tail of a
+/// [`FaultAnalysis`].
 struct Propagated {
     po_deltas: Vec<NodeId>,
     test_set: NodeId,
@@ -515,6 +483,13 @@ impl<'c> DiffProp<'c> {
     /// propagates them to the primary outputs, producing the complete test
     /// set and the exact metrics.
     ///
+    /// Every fault model goes through this one entry point — the paper's §3
+    /// claim that the Table-1 identities handle any fault whose effect is
+    /// logical. A [`Fault::MultiStuckAt`] pins every component site at once
+    /// and propagates the fronts together, so they may mask each other; a
+    /// downstream faulted site stays pinned at its stuck value regardless of
+    /// upstream faults, as in the multiple-fault model of Bossen & Hong.
+    ///
     /// Always exact: any configured [`EngineConfig::budget`] is lifted for
     /// the duration of the call and re-armed afterwards, so this never
     /// degrades an answer (it may run unboundedly long instead — use
@@ -523,6 +498,22 @@ impl<'c> DiffProp<'c> {
     /// Any `NodeId` in a previously returned [`FaultAnalysis`] may be
     /// invalidated by this call (the engine garbage-collects when past
     /// [`EngineConfig::gc_threshold`]).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dp_core::DiffProp;
+    /// use dp_faults::{checkpoint_faults, Fault, MultiStuckAt};
+    /// use dp_netlist::generators::c17;
+    ///
+    /// let c = c17();
+    /// let faults = checkpoint_faults(&c);
+    /// let mut dp = DiffProp::new(&c);
+    /// let pair = Fault::MultiStuckAt(MultiStuckAt::new(vec![faults[0], faults[3]]));
+    /// let multi = dp.analyze(&pair);
+    /// // A double fault may be masked on vectors where each single fires.
+    /// assert!(multi.detectability <= 1.0);
+    /// ```
     pub fn analyze(&mut self, fault: &Fault) -> FaultAnalysis {
         let saved = self.good.manager().budget();
         self.good.manager_mut().set_budget(BudgetConfig::UNLIMITED);
@@ -585,9 +576,9 @@ impl<'c> DiffProp<'c> {
             }
             Fault::MultiStuckAt(mf) => {
                 // Every component pins its site, and the fronts propagate —
-                // and possibly mask each other — in one combined pass, same
-                // as `try_analyze_multi_stuck_at`. Each component site is a
-                // constant, so the composite site function is too.
+                // and possibly mask each other — in one combined pass. Each
+                // component site is a constant, so the composite site
+                // function is too.
                 site_function_constant = true;
                 for c in mf.components() {
                     self.init_stuck_at(c, &mut init);
@@ -646,7 +637,7 @@ impl<'c> DiffProp<'c> {
     /// Honours the configured budget like [`DiffProp::try_analyze`]; a loop
     /// that fails to stabilise within the iteration cap returns
     /// [`AnalysisError::FixpointDiverged`] with the engine recovered.
-    pub fn try_analyze_bridge_fixpoint(
+    fn try_analyze_bridge_fixpoint(
         &mut self,
         fault: &BridgingFault,
     ) -> Result<FaultAnalysis, AnalysisError> {
@@ -796,90 +787,11 @@ impl<'c> DiffProp<'c> {
         (g, self.good.manager().not(g))
     }
 
-    /// Analyses a **multiple stuck-at fault**: all `components` present
-    /// simultaneously. The paper's §3 claim — "any fault whose effects are
-    /// restricted to the logical domain can be addressed" — in action: each
-    /// site's difference is pinned and the fronts propagate (and interfere,
-    /// possibly masking each other) together.
-    ///
-    /// Downstream faulted sites stay pinned at their stuck value regardless
-    /// of upstream faults, exactly as in the multiple-fault model of Bossen
-    /// & Hong.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `components` is empty or lists the same site twice.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dp_core::DiffProp;
-    /// use dp_faults::checkpoint_faults;
-    /// use dp_netlist::generators::c17;
-    ///
-    /// let c = c17();
-    /// let faults = checkpoint_faults(&c);
-    /// let mut dp = DiffProp::new(&c);
-    /// let pair = [faults[0], faults[3]];
-    /// let multi = dp.analyze_multi_stuck_at(&pair);
-    /// // A double fault may be masked on vectors where each single fires.
-    /// assert!(multi.detectability <= 1.0);
-    /// ```
-    pub fn analyze_multi_stuck_at(&mut self, components: &[StuckAtFault]) -> MultiFaultAnalysis {
-        let saved = self.good.manager().budget();
-        self.good.manager_mut().set_budget(BudgetConfig::UNLIMITED);
-        let analysis = self
-            .try_analyze_multi_stuck_at(components)
-            .expect("unlimited budget cannot trip");
-        self.good.manager_mut().set_budget(saved);
-        analysis
-    }
-
-    /// Budget-honouring variant of [`DiffProp::analyze_multi_stuck_at`]:
-    /// either bit-identical to the unbudgeted engine or
-    /// [`AnalysisError::BudgetExceeded`], with the engine recovered and
-    /// reusable after an error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `components` is empty or lists the same site twice (a
-    /// programming error, not a resource condition).
-    pub fn try_analyze_multi_stuck_at(
-        &mut self,
-        components: &[StuckAtFault],
-    ) -> Result<MultiFaultAnalysis, AnalysisError> {
-        assert!(!components.is_empty(), "a multiple fault needs components");
-        for (i, a) in components.iter().enumerate() {
-            for b in &components[i + 1..] {
-                assert_ne!(a.site, b.site, "duplicate fault site {a}");
-            }
-        }
-        self.maybe_gc();
-        self.good.manager_mut().reset_budget_window();
-        let mut init = SiteInit::default();
-        for f in components {
-            self.init_stuck_at(f, &mut init);
-        }
-        let p = self.propagate(init);
-        if let Some(err) = self.check_budget() {
-            return Err(err);
-        }
-        Ok(MultiFaultAnalysis {
-            components: components.to_vec(),
-            po_deltas: p.po_deltas,
-            test_set: p.test_set,
-            detectability: p.detectability,
-            test_count: p.test_count,
-            observable_outputs: p.observable_outputs,
-            gates_propagated: p.gates_propagated,
-        })
-    }
-
     /// Analyses a **batch of cone-disjoint single stuck-at faults** in one
     /// propagation pass, returning one independent [`FaultAnalysis`] per
     /// fault, in input order.
     ///
-    /// Unlike [`DiffProp::try_analyze_multi_stuck_at`] — which models all
+    /// Unlike a [`Fault::MultiStuckAt`] analysis — which models all
     /// components present *simultaneously* — this treats each fault as a
     /// separate single-fault analysis and merely shares the propagation
     /// sweep. That is sound exactly when the faults' fanout cones are
@@ -1191,7 +1103,7 @@ impl<'c> DiffProp<'c> {
     }
 
     /// One satisfying vector of an arbitrary test-set BDD from this engine
-    /// (e.g. a [`MultiFaultAnalysis::test_set`] or a per-output delta).
+    /// (e.g. a per-output delta from [`FaultAnalysis::po_deltas`]).
     pub fn pick_vector(&self, test_set: NodeId) -> Option<Vec<bool>> {
         self.good.manager().pick_minterm(test_set)
     }
@@ -1235,7 +1147,9 @@ impl<'c> DiffProp<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_faults::{checkpoint_faults, enumerate_nfbfs, BridgingFault, StuckAtFault};
+    use dp_faults::{
+        checkpoint_faults, enumerate_nfbfs, BridgingFault, MultiStuckAt, StuckAtFault,
+    };
     use dp_netlist::generators::{alu74181, c17, c95, full_adder};
     use dp_sim::exhaustive_detectability;
 
@@ -1427,6 +1341,43 @@ mod tests {
         assert_eq!(analysis2.oscillation_density, 0.0);
     }
 
+    /// The feedback fixpoint is conservative: fed a bridge with *no*
+    /// feedback path, it converges to the exact same analysis as the
+    /// one-pass NFBF route — OBDD canonicity makes "the same" bit-for-bit.
+    #[test]
+    fn fixpoint_on_nonfeedback_bridge_equals_one_pass_analysis() {
+        for circuit in [c17(), c95()] {
+            let mut dp = DiffProp::new(&circuit);
+            for kind in [BridgeKind::And, BridgeKind::Or] {
+                for bridge in enumerate_nfbfs(&circuit, kind).into_iter().take(40) {
+                    let direct = dp
+                        .try_analyze(&Fault::Bridging(bridge))
+                        .expect("one-pass NFBF analysis failed");
+                    let fixed = dp
+                        .try_analyze_bridge_fixpoint(&bridge)
+                        .expect("fixpoint analysis of an acyclic bridge failed");
+                    let on = circuit.name();
+                    assert_eq!(direct.test_count, fixed.test_count, "{bridge:?} on {on}");
+                    assert_eq!(
+                        direct.detectability.to_bits(),
+                        fixed.detectability.to_bits(),
+                        "{bridge:?} on {on}"
+                    );
+                    assert_eq!(direct.observable_outputs, fixed.observable_outputs);
+                    assert_eq!(direct.site_function_constant, fixed.site_function_constant);
+                    // No loop, no residual: the wired value settles
+                    // everywhere, and monotone convergence from all-X needs
+                    // exactly two sweeps (one to fill, one to confirm).
+                    assert_eq!(fixed.oscillation_density.to_bits(), 0f64.to_bits());
+                    assert!(
+                        fixed.fixpoint_iterations >= 2,
+                        "fixpoint claims convergence without a confirming sweep"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn undetectable_fault_reports_empty_test_set() {
         // Redundant logic: g = (x AND y) OR (x AND NOT y) = x; a stuck-at-0
@@ -1453,6 +1404,10 @@ mod tests {
         assert!(dp.pick_test(&analysis).is_none());
     }
 
+    fn multi(components: &[StuckAtFault]) -> Fault {
+        Fault::MultiStuckAt(MultiStuckAt::new(components.to_vec()))
+    }
+
     #[test]
     fn multi_stuck_at_matches_simulation() {
         use dp_sim::exhaustive_multi_detectability;
@@ -1464,7 +1419,7 @@ mod tests {
                 if w[0].site == w[1].site {
                     continue;
                 }
-                let analysis = dp.analyze_multi_stuck_at(w);
+                let analysis = dp.analyze(&multi(w));
                 let (det, _) = exhaustive_multi_detectability(&circuit, w);
                 assert_eq!(
                     analysis.test_count,
@@ -1479,7 +1434,7 @@ mod tests {
                 if w.len() < 3 || w[0].site == w[1].site || w[1].site == w[2].site {
                     continue;
                 }
-                let analysis = dp.analyze_multi_stuck_at(w);
+                let analysis = dp.analyze(&multi(w));
                 let (det, _) = exhaustive_multi_detectability(&circuit, w);
                 assert_eq!(analysis.test_count, Some(det as u128));
             }
@@ -1508,26 +1463,13 @@ mod tests {
         };
         let mut dp = DiffProp::new(&c);
         let single = dp.analyze(&Fault::from(f1));
-        let double = dp.analyze_multi_stuck_at(&[f1, f2]);
+        let double = dp.analyze(&multi(&[f1, f2]));
         // Single fault: detected whenever x = 1 (2 of 4 vectors).
         assert_eq!(single.test_count, Some(2));
         // Double fault: x=1,y=0 and x=0,y=1 detect; x=y=1 masks.
         assert_eq!(double.test_count, Some(2));
         let v = dp.pick_vector(double.test_set).unwrap();
         assert_ne!(v, vec![true, true], "masked vector must not be picked");
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate fault site")]
-    fn multi_fault_rejects_duplicate_sites() {
-        let c = c17();
-        let f = checkpoint_faults(&c)[0];
-        let other = StuckAtFault {
-            site: f.site,
-            value: !f.value,
-        };
-        let mut dp = DiffProp::new(&c);
-        dp.analyze_multi_stuck_at(&[f, other]);
     }
 
     #[test]
@@ -1647,21 +1589,21 @@ mod tests {
     }
 
     #[test]
-    fn try_analyze_multi_stuck_at_recovers_like_the_single_path() {
+    fn budgeted_multi_fault_recovers_like_the_single_path() {
         let c = c95();
         let faults = checkpoint_faults(&c);
-        let pair = [faults[0], faults[3]];
+        let pair = multi(&[faults[0], faults[3]]);
         let config = EngineConfig {
             budget: BudgetConfig::with_max_op_steps(2),
             ..Default::default()
         };
         let mut dp = DiffProp::with_config(&c, config);
         assert!(matches!(
-            dp.try_analyze_multi_stuck_at(&pair),
+            dp.try_analyze(&pair),
             Err(AnalysisError::BudgetExceeded(_))
         ));
-        let exact = DiffProp::new(&c).analyze_multi_stuck_at(&pair);
-        let after = dp.analyze_multi_stuck_at(&pair);
+        let exact = DiffProp::new(&c).analyze(&pair);
+        let after = dp.analyze(&pair);
         assert_eq!(after.test_count, exact.test_count);
     }
 

@@ -17,8 +17,9 @@
 //!
 //! All functions are OBDDs ([`dp_bdd`]). Because the identities are derived
 //! independently of the fault type, *any* fault whose effect is logical can
-//! be analysed — the crate handles single stuck-at faults (net or fanout
-//! branch) and two-wire AND/OR bridging faults out of the box.
+//! be analysed — [`DiffProp::analyze`] handles single stuck-at faults (net
+//! or fanout branch), two-wire AND/OR bridging faults (feedback pairs
+//! through a ternary fixpoint) and multiple stuck-at faults out of the box.
 //!
 //! From the complete test set follow the paper's exact metrics:
 //!
@@ -31,7 +32,7 @@
 //! Applications and companions built on the engine:
 //!
 //! * [`generate_tests`] — compact ATPG with exact redundancy proofs,
-//! * [`DiffProp::analyze_multi_stuck_at`] — multiple stuck-at faults,
+//! * [`sweep_universe`] — collapsed, work-stealing fault-universe sweeps,
 //! * [`FaultDictionary`] — full-response dictionaries and diagnosis,
 //! * [`find_redundancies`] — whole-circuit redundancy identification,
 //! * [`GoodFunctions::build_auto_decomposed`] — cut-point functional
@@ -75,16 +76,15 @@ pub use atpg::{generate_tests, generate_tests_with, TestSet};
 pub use delta::{delta_output, naive_delta_output};
 pub use dictionary::{Candidate, FaultDictionary, Signature};
 pub use dp_bdd::BudgetConfig;
-pub use engine::{DiffProp, EngineConfig, FaultAnalysis, MultiFaultAnalysis};
+pub use engine::{DiffProp, EngineConfig, FaultAnalysis};
 pub use error::AnalysisError;
 pub use good::{GoodFunctions, GoodSnapshot};
 pub use observability::Observability;
 pub use order::OrderStrategy;
 pub use dp_telemetry::TelemetryLevel;
 pub use parallel::{
-    analyze_universe, analyze_universe_with, plan_batches, sweep_universe, sweep_universe_ext,
-    sweep_universe_streamed, ClassId, FallbackConfig, FaultOutcome, FaultSummary, ManagerMode,
-    Parallelism, RecordSink, ShardReport, SweepConfig, SweepResult, WORKER_PANIC,
+    plan_batches, sweep_universe, sweep_universe_ext, ClassId, FallbackConfig, FaultOutcome,
+    FaultSummary, Parallelism, RecordSink, ShardReport, SweepConfig, SweepResult, WORKER_PANIC,
 };
 pub use redundancy::{find_redundancies, RedundancyReport};
 pub use report::{summaries_digest, summary_line, sweep_report};

@@ -17,13 +17,11 @@
 //!
 //! On top of those, two shared-manager levers (both also output-invariant):
 //!
-//! * **Frozen good-function snapshots** ([`ManagerMode::SharedSnapshot`],
-//!   the default): the good functions are built **once**, frozen into an
-//!   immutable [`GoodSnapshot`](crate::GoodSnapshot), and every worker thaws
-//!   a lightweight delta manager over the shared base — the per-worker
-//!   build cost disappears, and the one-off build is accounted exactly once
-//!   in the sweep totals. [`ManagerMode::Private`] restores the
-//!   build-per-worker behaviour for ablations.
+//! * **Frozen good-function snapshots**: the good functions are built
+//!   **once**, frozen into an immutable [`GoodSnapshot`](crate::GoodSnapshot),
+//!   and every worker thaws a lightweight delta manager over the shared
+//!   base — there is no per-worker build, and the one-off build is
+//!   accounted exactly once in the sweep totals.
 //! * **Cone-disjoint fault batches** ([`SweepConfig::batch`]): stuck-at
 //!   classes whose representative fanout cones are pairwise disjoint are
 //!   greedily packed ([`plan_batches`]) into one fused propagation pass per
@@ -62,7 +60,7 @@
 //! Each equivalence class is analysed under [`std::panic::catch_unwind`]: a
 //! fault that panics the engine (a buggy fault model, a poisoned circuit, an
 //! assertion deep in the engine) never takes the sweep down — its class's
-//! partial summaries are discarded, the worker rebuilds its engine, and
+//! partial summaries are discarded, the worker re-thaws its engine, and
 //! **every other class's summaries are returned untouched**, still in input
 //! order. The worker's [`ShardReport::panics`] carries every panicked
 //! class id with its message, so a batch caller (or the sweep service) can
@@ -83,14 +81,18 @@
 //! # Examples
 //!
 //! ```
-//! use dp_core::{analyze_universe, EngineConfig, Parallelism};
+//! use dp_core::{sweep_universe, Parallelism, SweepConfig};
 //! use dp_faults::{checkpoint_faults, Fault};
 //! use dp_netlist::generators::c17;
 //!
 //! let circuit = c17();
 //! let faults: Vec<Fault> = checkpoint_faults(&circuit).into_iter().map(Fault::from).collect();
-//! let serial = analyze_universe(&circuit, &faults, EngineConfig::default(), Parallelism::Serial);
-//! let sharded = analyze_universe(&circuit, &faults, EngineConfig::default(), Parallelism::Threads(2));
+//! let serial = sweep_universe(&circuit, &faults, &SweepConfig::default());
+//! let sharded = sweep_universe(
+//!     &circuit,
+//!     &faults,
+//!     &SweepConfig { parallelism: Parallelism::Threads(2), ..Default::default() },
+//! );
 //! assert_eq!(serial.summaries, sharded.summaries);
 //! assert!(serial.is_complete());
 //! // Collapsing analysed fewer classes than there are faults…
@@ -135,7 +137,8 @@ pub enum Parallelism {
     /// One worker on the calling thread — the reference execution.
     #[default]
     Serial,
-    /// Up to `n` scoped worker threads, each owning a private manager.
+    /// Up to `n` scoped worker threads, each thawing its own delta manager
+    /// over the sweep's shared frozen good functions.
     /// `Threads(0)` and `Threads(1)` degrade to one worker.
     Threads(usize),
 }
@@ -148,22 +151,6 @@ impl Parallelism {
             Parallelism::Threads(n) => n.max(1),
         }
     }
-}
-
-/// Where a sweep worker's good functions come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ManagerMode {
-    /// Every worker builds its own BDD manager and good functions from
-    /// scratch — no sharing. The historical behaviour, kept for ablation:
-    /// results are bit-identical, only the build cost multiplies.
-    Private,
-    /// Build the good functions once, freeze them into an immutable
-    /// [`GoodSnapshot`](crate::GoodSnapshot), and hand every worker a thawed
-    /// delta manager over the shared base (copy-on-write lookup, private op
-    /// cache and stats). The default: per-worker build cost disappears and
-    /// the one-off build is accounted exactly once in the sweep totals.
-    #[default]
-    SharedSnapshot,
 }
 
 /// Default cap on stuck-at classes fused into one cone-disjoint batch.
@@ -185,9 +172,6 @@ pub struct SweepConfig {
     /// Work-queue chunk size in *batches*. `None` picks a size that gives
     /// each worker several claims without drowning the queue in contention.
     pub chunk: Option<usize>,
-    /// How workers obtain their good functions (shared frozen snapshot by
-    /// default; private build-per-worker for ablation). Output-invariant.
-    pub manager: ManagerMode,
     /// Maximum stuck-at classes fused into one cone-disjoint propagation
     /// batch (see [`plan_batches`]); `1` disables batching. Output-invariant
     /// at every value — batches are planned before workers spawn, so the
@@ -209,7 +193,6 @@ impl Default for SweepConfig {
             fallback: FallbackConfig::default(),
             collapse: true,
             chunk: None,
-            manager: ManagerMode::default(),
             batch: DEFAULT_BATCH,
             telemetry: TelemetryLevel::default(),
         }
@@ -336,8 +319,8 @@ pub struct ShardReport {
     /// Worker index in `0..workers`.
     pub shard: usize,
     /// Chunks this worker claimed from the shared queue. Zero means the
-    /// queue was drained before the worker got a turn — its manager was
-    /// never built and its counters are all default.
+    /// queue was drained before the worker got a turn — it never thawed an
+    /// engine and its counters are all default.
     pub chunks_claimed: usize,
     /// Equivalence classes this worker processed — one BDD propagation pass
     /// each (or one sampled estimate per member when the engine is
@@ -352,7 +335,7 @@ pub struct ShardReport {
     /// workers even when per-fault costs are wildly skewed.
     pub busy: Duration,
     /// Counters of the worker's private BDD manager at the end of its run
-    /// (default counters when the worker claimed nothing or never built an
+    /// (default counters when the worker claimed nothing or ended without an
     /// engine).
     pub stats: ManagerStats,
     /// Every panic this worker saw, as `(class id, message)` pairs in the
@@ -391,7 +374,7 @@ pub struct SweepResult {
     /// Workers actually spawned (≤ the configured parallelism; never more
     /// than there were classes).
     pub workers: usize,
-    /// Work-queue chunk size actually used, in classes.
+    /// Work-queue chunk size actually used, in batches.
     pub chunk: usize,
     /// Name of the variable-order strategy the workers built with
     /// (`SweepConfig.engine.order`); recorded in the execution section of
@@ -451,51 +434,17 @@ impl SweepResult {
     }
 }
 
-/// Analyses every fault in `faults` against `circuit` and returns summaries
-/// **in the input fault order**.
+/// The sweep entry point: collapse the universe, fan the classes out over a
+/// work-stealing queue, and merge summaries back into **input fault order**.
 ///
-/// Equivalent to [`sweep_universe`] with the given `parallelism`, default
-/// [`FallbackConfig`], and collapsing **on**. With the default unlimited
-/// [`EngineConfig::budget`] every summary is exact and the fallback is
-/// never consulted.
-pub fn analyze_universe(
-    circuit: &Circuit,
-    faults: &[Fault],
-    config: EngineConfig,
-    parallelism: Parallelism,
-) -> SweepResult {
-    analyze_universe_with(circuit, faults, config, parallelism, FallbackConfig::default())
-}
-
-/// [`analyze_universe`] with an explicit simulator-fallback configuration.
-pub fn analyze_universe_with(
-    circuit: &Circuit,
-    faults: &[Fault],
-    config: EngineConfig,
-    parallelism: Parallelism,
-    fallback: FallbackConfig,
-) -> SweepResult {
-    sweep_universe(
-        circuit,
-        faults,
-        &SweepConfig {
-            engine: config,
-            parallelism,
-            fallback,
-            ..Default::default()
-        },
-    )
-}
-
-/// The full sweep entry point: collapse the universe, fan the classes out
-/// over a work-stealing queue, and merge summaries back into input order.
-///
-/// Each worker builds its own [`GoodFunctions`](crate::GoodFunctions) once
-/// (lazily, on its first claimed chunk) and reuses them for all its classes,
-/// exactly like a serial [`DiffProp`] would; `Parallelism::Serial` runs the
-/// identical single-worker code path on the calling thread. Results are
-/// bit-identical across all `parallelism`, `chunk`, and `collapse` settings
-/// (see the module docs).
+/// The good functions are built once and frozen; each worker thaws its own
+/// delta manager over them (lazily, on its first claimed chunk) and reuses
+/// it for all its classes, exactly like a serial [`DiffProp`] would;
+/// `Parallelism::Serial` runs the identical single-worker code path on the
+/// calling thread. Results are bit-identical across all `parallelism`,
+/// `chunk`, `batch` and `collapse` settings (see the module docs). With the
+/// default unlimited [`EngineConfig::budget`] every summary is exact and the
+/// fallback is never consulted.
 ///
 /// This function does not panic on worker failure: class panics are caught
 /// and reported per worker, and budget trips degrade per fault to sampled
@@ -504,36 +453,24 @@ pub fn sweep_universe(circuit: &Circuit, faults: &[Fault], config: &SweepConfig)
     sweep_universe_ext(circuit, faults, config, None, None)
 }
 
-/// [`sweep_universe`] that additionally yields each summary to `on_record`
-/// **incrementally, in strict input-fault order**, as the work-stealing
-/// queue completes the prefix.
-///
-/// Workers report whole batches as they finish; a reorder buffer on the
-/// calling thread releases index `i` only once every index `< i` has been
-/// either emitted or lost to a class panic, so a consumer that concatenates
-/// the records sees exactly [`SweepResult::summaries`] — byte-identical,
-/// regardless of thread count or chunk size. The callback runs on the
-/// calling thread, inside the sweep; the returned [`SweepResult`] is the
-/// same merged result a batch call produces.
-pub fn sweep_universe_streamed(
-    circuit: &Circuit,
-    faults: &[Fault],
-    config: &SweepConfig,
-    on_record: RecordSink<'_>,
-) -> SweepResult {
-    sweep_universe_ext(circuit, faults, config, None, Some(on_record))
-}
-
 /// An in-order per-record sink for streamed sweeps: invoked with the input
 /// fault index and its summary, in strictly ascending index order.
 pub type RecordSink<'a> = &'a mut dyn FnMut(usize, &FaultSummary);
 
-/// The full-control sweep entry point behind [`sweep_universe`] and
-/// [`sweep_universe_streamed`]: an optional pre-built warm snapshot and an
+/// [`sweep_universe`] with an optional pre-built warm snapshot and an
 /// optional in-order record sink.
 ///
-/// `warm_snapshot` is the resident-service path ([`ManagerMode::SharedSnapshot`]
-/// only; ignored under [`ManagerMode::Private`]): workers thaw the provided
+/// `on_record` receives each summary **incrementally, in strict input-fault
+/// order**, as the work-stealing queue completes the prefix. Workers report
+/// whole batches as they finish; a reorder buffer on the calling thread
+/// releases index `i` only once every index `< i` has been either emitted or
+/// lost to a class panic, so a consumer that concatenates the records sees
+/// exactly [`SweepResult::summaries`] — byte-identical, regardless of thread
+/// count or chunk size. The callback runs on the calling thread, inside the
+/// sweep; the returned [`SweepResult`] is the same merged result a batch
+/// call produces.
+///
+/// `warm_snapshot` is the resident-service path: workers thaw the provided
 /// frozen good functions instead of the sweep building its own, so the sweep
 /// performs **zero** good-function builds and its reported [`ManagerStats`]
 /// contain thaw-only work — the build cost stays attributed to whoever built
@@ -577,22 +514,18 @@ pub fn sweep_universe_ext(
     } else {
         (0..classes.len()).map(|c| vec![c]).collect()
     };
-    // Shared-manager mode: build and freeze the good functions once, on the
-    // sweeping thread — unless the caller supplied a warm snapshot, in which
-    // case this sweep builds nothing at all. A budget too small for the
-    // build leaves `None` and every class degrades to a sampled estimate —
-    // exactly as when each worker fails its own private build.
-    let built: Option<GoodSnapshot> = match config.manager {
-        ManagerMode::Private => None,
-        ManagerMode::SharedSnapshot if classes.is_empty() || warm_snapshot.is_some() => None,
-        ManagerMode::SharedSnapshot => DiffProp::build_snapshot(circuit, config.engine).ok(),
+    // Build and freeze the good functions once, on the sweeping thread —
+    // unless the caller supplied a warm snapshot, in which case this sweep
+    // builds nothing at all. A budget too small for the build leaves `None`
+    // and every class degrades to a sampled estimate.
+    let built: Option<GoodSnapshot> = if classes.is_empty() || warm_snapshot.is_some() {
+        None
+    } else {
+        DiffProp::build_snapshot(circuit, config.engine).ok()
     };
-    let snapshot: Option<&GoodSnapshot> = match config.manager {
-        ManagerMode::Private => None,
-        ManagerMode::SharedSnapshot => warm_snapshot.or(built.as_ref()),
-    };
-    // Never more workers than queue entries: an extra worker would thaw or
-    // build good functions only to find the queue drained.
+    let snapshot: Option<&GoodSnapshot> = warm_snapshot.or(built.as_ref());
+    // Never more workers than queue entries: an extra worker would thaw the
+    // good functions only to find the queue drained.
     let workers = config.parallelism.workers().min(batches.len()).max(1);
     let chunk = config
         .chunk
@@ -778,20 +711,24 @@ fn class_flow_net(faults: &[Fault], class: &FaultClass, reach: &Reachability) ->
     }
 }
 
-/// Builds (or rebuilds) one worker's engine according to the manager mode:
-/// a thaw of the shared snapshot, or a private from-scratch build. `None`
-/// when the budget cannot even fit the good functions — the worker then
-/// estimates every class by simulation.
-fn build_worker_engine<'c>(
+/// The one place a worker gets its engine: thaws the shared snapshot when
+/// `dp` is `None` — before the worker's first class, and again after a panic
+/// dropped the engine (the unwind may have left the manager mid-operation).
+/// Stays `None` when the budget could not fit the good functions; the
+/// worker then estimates every class by simulation.
+fn thaw_if_needed<'c>(
+    dp: &mut Option<DiffProp<'c>>,
     circuit: &'c Circuit,
     snapshot: Option<&GoodSnapshot>,
     config: &SweepConfig,
-) -> Option<DiffProp<'c>> {
-    match config.manager {
-        ManagerMode::Private => DiffProp::try_with_config(circuit, config.engine).ok(),
-        ManagerMode::SharedSnapshot => {
-            snapshot.map(|s| DiffProp::from_snapshot(circuit, s, config.engine))
-        }
+    collector: &SharedCollector,
+) {
+    if dp.is_none() {
+        *dp = snapshot.map(|s| {
+            let mut engine = DiffProp::from_snapshot(circuit, s, config.engine);
+            engine.attach_collector(collector.clone());
+            engine
+        });
     }
 }
 
@@ -838,9 +775,9 @@ fn drain_stream(rx: mpsc::Receiver<StreamEvent>, on_record: &mut dyn FnMut(usize
 
 /// One worker: claim chunks of batches from the shared queue until drained.
 ///
-/// The engine is built lazily on the first claim (a worker that never gets
-/// a turn costs nothing) and rebuilt after a class panic (the manager may
-/// be mid-operation when the unwind happens).
+/// The engine is thawed lazily before a class needs it ([`thaw_if_needed`]):
+/// a worker that never gets a turn costs nothing, and a panic that dropped
+/// the engine costs one re-thaw before the next class.
 #[allow(clippy::too_many_arguments)]
 fn run_worker<'c>(
     circuit: &'c Circuit,
@@ -869,7 +806,6 @@ fn run_worker<'c>(
     // thread ever sees it, so the RefCell is uncontended by construction.
     let collector = Collector::shared(config.telemetry);
     let mut dp: Option<DiffProp<'c>> = None;
-    let mut built = false;
     loop {
         let lo = next.fetch_add(1, Ordering::Relaxed) * chunk;
         if lo >= batches.len() {
@@ -879,28 +815,23 @@ fn run_worker<'c>(
         report.chunks_claimed += 1;
         let chunk_timer = collector.borrow().start();
         let t0 = Instant::now();
-        if !built {
-            dp = build_worker_engine(circuit, snapshot, config);
-            if let Some(dp) = dp.as_mut() {
-                dp.attach_collector(collector.clone());
-            }
-            built = true;
-        }
         for batch in &batches[lo..hi] {
             let out_mark = out.len();
             let panic_mark = report.panics.len();
             collector
                 .borrow_mut()
                 .record_hist(HistKind::BatchSize, batch.len() as u64);
+            thaw_if_needed(&mut dp, circuit, snapshot, config, &collector);
             let fused = batch.len() > 1
                 && try_fused_batch(&mut dp, faults, classes, batch, &collector, &mut out, &mut report);
             if !fused {
                 // Per-class path: singleton batches, a missing engine, a
                 // budget trip, or a (defensively handled) batch panic.
                 for &c in batch {
+                    thaw_if_needed(&mut dp, circuit, snapshot, config, &collector);
                     process_class(
-                        circuit, &mut dp, snapshot, faults, c, &classes[c], config, &collector,
-                        &mut out, &mut report,
+                        circuit, &mut dp, faults, c, &classes[c], config, &collector, &mut out,
+                        &mut report,
                     );
                 }
             }
@@ -937,12 +868,12 @@ fn run_worker<'c>(
 }
 
 /// The per-class unit of worker progress: one catch-unwound
-/// [`summarize_class`] with panic isolation and engine rebuild.
+/// [`summarize_class`] with panic isolation. A panic drops the engine, so
+/// the worker re-thaws it before its next class.
 #[allow(clippy::too_many_arguments)]
-fn process_class<'c>(
-    circuit: &'c Circuit,
-    dp: &mut Option<DiffProp<'c>>,
-    snapshot: Option<&GoodSnapshot>,
+fn process_class(
+    circuit: &Circuit,
+    dp: &mut Option<DiffProp<'_>>,
     faults: &[Fault],
     class_id: ClassId,
     class: &FaultClass,
@@ -966,18 +897,12 @@ fn process_class<'c>(
         }
         Err(payload) => {
             // Drop any partial member summaries of the poisoned class and
-            // rebuild the engine — the unwind may have left the manager
-            // mid-operation. (Any RefCell borrow the collector held was
-            // released during the unwind.)
+            // the engine — the unwind may have left the manager mid-operation.
+            // (Any RefCell borrow the collector held was released during the
+            // unwind.)
             out.truncate(mark);
             report.panics.push((class_id, panic_message(payload.as_ref())));
-            *dp = catch_unwind(AssertUnwindSafe(|| {
-                build_worker_engine(circuit, snapshot, config)
-            }))
-            .unwrap_or(None);
-            if let Some(dp) = dp.as_mut() {
-                dp.attach_collector(collector.clone());
-            }
+            *dp = None;
         }
     }
     let mut c = collector.borrow_mut();
@@ -1023,7 +948,7 @@ fn try_fused_batch<'c>(
         // member may individually fit the window, or degrade to sampling).
         Ok(Err(_)) => return false,
         // A panic mid-batch may leave the manager mid-operation: drop the
-        // engine so the per-class retry starts from a rebuilt one.
+        // engine so the per-class retry starts from a fresh thaw.
         Err(_) => {
             *dp = None;
             return false;
@@ -1034,24 +959,7 @@ fn try_fused_batch<'c>(
     for (&c, analysis) in batch.iter().zip(&analyses) {
         let class = &classes[c];
         let class_timer = collector.borrow().start();
-        for &m in &class.members {
-            let fault = faults[m].clone();
-            let adherence = engine
-                .detectability_bound(&fault)
-                .and_then(|u| (u > 0.0).then(|| analysis.detectability / u));
-            out.push((
-                m,
-                FaultSummary {
-                    fault,
-                    detectability: analysis.detectability,
-                    test_count: analysis.test_count,
-                    observable_outputs: analysis.observable_outputs.clone(),
-                    site_function_constant: analysis.site_function_constant,
-                    adherence,
-                    outcome: analysis_outcome(analysis),
-                },
-            ));
-        }
+        push_exact_members(engine, faults, class, analysis, out);
         report.classes_done += 1;
         report.faults_done += class.members.len();
         let mut col = collector.borrow_mut();
@@ -1065,8 +973,8 @@ fn try_fused_batch<'c>(
 
 /// Folds a manager's final [`ManagerStats`] into a collector, so snapshots
 /// carry the cumulative view — op-cache counters included, which survive GC
-/// generations by design. Used for each worker's manager and, in shared
-/// mode, once for the snapshot build.
+/// generations by design. Used for each worker's manager and once for the
+/// snapshot build.
 fn harvest_manager_stats(c: &mut Collector, s: &ManagerStats) {
     c.add(CounterKind::UniqueLookups, s.unique.lookups);
     c.add(CounterKind::UniqueHits, s.unique.hits);
@@ -1081,14 +989,43 @@ fn harvest_manager_stats(c: &mut Collector, s: &ManagerStats) {
     c.add(CounterKind::BudgetTrips, s.budget_trips);
 }
 
-/// Analyses one class's representative and expands the result to every
-/// member (or samples every member when the budget trips).
+/// Expands an exact analysis of a class's representative to every member.
 ///
 /// Shared scalars (detectability, test count, observability flags, site
 /// constancy) are equal for all members by fault equivalence + OBDD
 /// canonicity. Adherence is *not* shared: its syndrome bound belongs to the
 /// member's own site net, so it is recomputed per member — which keeps the
 /// expansion bit-identical to analysing each member directly.
+fn push_exact_members(
+    dp: &mut DiffProp<'_>,
+    faults: &[Fault],
+    class: &FaultClass,
+    analysis: &FaultAnalysis,
+    out: &mut Vec<(usize, FaultSummary)>,
+) {
+    for &m in &class.members {
+        let fault = faults[m].clone();
+        let adherence = dp
+            .detectability_bound(&fault)
+            .and_then(|u| (u > 0.0).then(|| analysis.detectability / u));
+        out.push((
+            m,
+            FaultSummary {
+                fault,
+                detectability: analysis.detectability,
+                test_count: analysis.test_count,
+                observable_outputs: analysis.observable_outputs.clone(),
+                site_function_constant: analysis.site_function_constant,
+                adherence,
+                outcome: analysis_outcome(analysis),
+            },
+        ));
+    }
+}
+
+/// Analyses one class's representative and expands the result to every
+/// member ([`push_exact_members`]), or samples every member when the budget
+/// trips.
 fn summarize_class(
     circuit: &Circuit,
     dp: &mut Option<DiffProp<'_>>,
@@ -1108,24 +1045,7 @@ fn summarize_class(
     match exact {
         Some((dp, analysis)) => {
             collector.borrow_mut().finish(SpanKind::Fault, fault_timer);
-            for &m in &class.members {
-                let fault = faults[m].clone();
-                let adherence = dp
-                    .detectability_bound(&fault)
-                    .and_then(|u| (u > 0.0).then(|| analysis.detectability / u));
-                out.push((
-                    m,
-                    FaultSummary {
-                        fault,
-                        detectability: analysis.detectability,
-                        test_count: analysis.test_count,
-                        observable_outputs: analysis.observable_outputs.clone(),
-                        site_function_constant: analysis.site_function_constant,
-                        adherence,
-                        outcome: analysis_outcome(&analysis),
-                    },
-                ));
-            }
+            push_exact_members(dp, faults, class, &analysis, out);
         }
         None => {
             // Budget trip (or no engine at all): every member gets its own
@@ -1190,6 +1110,20 @@ mod tests {
     use dp_faults::{checkpoint_faults, enumerate_nfbfs, BridgeKind};
     use dp_netlist::generators::{alu74181, c17, c95, full_adder};
 
+    fn sweep_with(
+        circuit: &Circuit,
+        faults: &[Fault],
+        engine: EngineConfig,
+        parallelism: Parallelism,
+    ) -> SweepResult {
+        let config = SweepConfig {
+            engine,
+            parallelism,
+            ..Default::default()
+        };
+        sweep_universe(circuit, faults, &config)
+    }
+
     fn stuck_at_universe(circuit: &Circuit) -> Vec<Fault> {
         checkpoint_faults(circuit)
             .into_iter()
@@ -1217,7 +1151,7 @@ mod tests {
     fn serial_matches_engine_directly() {
         let circuit = c17();
         let faults = stuck_at_universe(&circuit);
-        let sweep = analyze_universe(
+        let sweep = sweep_with(
             &circuit,
             &faults,
             EngineConfig::default(),
@@ -1284,9 +1218,9 @@ mod tests {
         let circuit = c17();
         let faults = stuck_at_universe(&circuit);
         let config = EngineConfig::default();
-        let serial = analyze_universe(&circuit, &faults, config, Parallelism::Serial);
+        let serial = sweep_with(&circuit, &faults, config, Parallelism::Serial);
         for n in [1, 2, 3, 4, 7] {
-            let sharded = analyze_universe(&circuit, &faults, config, Parallelism::Threads(n));
+            let sharded = sweep_with(&circuit, &faults, config, Parallelism::Threads(n));
             assert_bit_identical(&serial.summaries, &sharded.summaries);
         }
     }
@@ -1300,8 +1234,8 @@ mod tests {
         }
         assert!(faults.len() > 8, "expected a non-trivial bridge universe");
         let config = EngineConfig::default();
-        let serial = analyze_universe(&circuit, &faults, config, Parallelism::Serial);
-        let sharded = analyze_universe(&circuit, &faults, config, Parallelism::Threads(4));
+        let serial = sweep_with(&circuit, &faults, config, Parallelism::Serial);
+        let sharded = sweep_with(&circuit, &faults, config, Parallelism::Threads(4));
         // Bridges never collapse: classes == universe size.
         assert_eq!(serial.classes, faults.len());
         assert_bit_identical(&serial.summaries, &sharded.summaries);
@@ -1311,7 +1245,7 @@ mod tests {
     fn more_workers_than_faults_degrades_gracefully() {
         let circuit = c17();
         let faults: Vec<Fault> = stuck_at_universe(&circuit).into_iter().take(3).collect();
-        let sweep = analyze_universe(
+        let sweep = sweep_with(
             &circuit,
             &faults,
             EngineConfig::default(),
@@ -1332,7 +1266,7 @@ mod tests {
     #[test]
     fn empty_universe_yields_one_idle_worker() {
         let circuit = c17();
-        let sweep = analyze_universe(
+        let sweep = sweep_with(
             &circuit,
             &[],
             EngineConfig::default(),
@@ -1351,7 +1285,7 @@ mod tests {
     fn shard_reports_cover_the_universe_and_carry_stats() {
         let circuit = c17();
         let faults = stuck_at_universe(&circuit);
-        let sweep = analyze_universe(
+        let sweep = sweep_with(
             &circuit,
             &faults,
             EngineConfig::default(),
@@ -1396,7 +1330,7 @@ mod tests {
         assert_eq!(Parallelism::Threads(4).workers(), 4);
         let circuit = c17();
         let faults = stuck_at_universe(&circuit);
-        let sweep = analyze_universe(
+        let sweep = sweep_with(
             &circuit,
             &faults,
             EngineConfig::default(),
@@ -1421,7 +1355,7 @@ mod tests {
         // Append a poisoned fault; it forms a singleton class, so exactly
         // one class is lost and every healthy fault survives.
         faults.push(foreign_fault());
-        let sweep = analyze_universe(
+        let sweep = sweep_with(
             &circuit,
             &faults,
             EngineConfig::default(),
@@ -1435,7 +1369,7 @@ mod tests {
         // Every healthy fault's summary survives, bit-identical to a clean
         // serial run over the healthy universe.
         assert_eq!(sweep.summaries.len(), healthy);
-        let clean = analyze_universe(
+        let clean = sweep_with(
             &circuit,
             &faults[..healthy],
             EngineConfig::default(),
@@ -1452,7 +1386,7 @@ mod tests {
     fn serial_panic_is_caught_too() {
         let circuit = c17();
         let faults = vec![foreign_fault()];
-        let sweep = analyze_universe(
+        let sweep = sweep_with(
             &circuit,
             &faults,
             EngineConfig::default(),
@@ -1472,7 +1406,7 @@ mod tests {
         let mut faults = stuck_at_universe(&circuit);
         let healthy: Vec<Fault> = faults.clone();
         faults.insert(faults.len() / 2, foreign_fault());
-        let sweep = analyze_universe(
+        let sweep = sweep_with(
             &circuit,
             &faults,
             EngineConfig::default(),
@@ -1480,7 +1414,7 @@ mod tests {
         );
         assert!(!sweep.is_complete());
         assert_eq!(sweep.summaries.len(), healthy.len());
-        let clean = analyze_universe(
+        let clean = sweep_with(
             &circuit,
             &healthy,
             EngineConfig::default(),
@@ -1494,6 +1428,58 @@ mod tests {
         }
     }
 
+    /// A panic inside a fused batch drops the engine; the per-class retry
+    /// and every later class must run on a re-thawed one and stay exact,
+    /// not fall back to sampled estimates for the rest of the queue.
+    #[test]
+    fn fused_batch_panic_rethaws_the_engine() {
+        let circuit = c17();
+        let faults = stuck_at_universe(&circuit);
+        // The two polarities of one site: fusing them trips the engine's
+        // duplicate-site assert.
+        let (Fault::StuckAt(a), Fault::StuckAt(b)) = (&faults[0], &faults[1]) else {
+            unreachable!("checkpoint faults are stuck-at")
+        };
+        assert_eq!(a.site, b.site);
+        let classes: Vec<FaultClass> = (0..faults.len())
+            .map(|i| FaultClass {
+                representative: i,
+                members: vec![i],
+            })
+            .collect();
+        let mut batches = vec![vec![0, 1]];
+        batches.extend((2..faults.len()).map(|c| vec![c]));
+        let config = SweepConfig::default();
+        let snapshot = DiffProp::build_snapshot(&circuit, config.engine).unwrap();
+        let (mut out, report) = run_worker(
+            &circuit,
+            &faults,
+            &classes,
+            &batches,
+            Some(&snapshot),
+            &AtomicUsize::new(0),
+            1,
+            0,
+            &config,
+            None,
+        );
+        assert!(report.panics.is_empty(), "{:?}", report.panics);
+        assert_eq!(report.classes_done, faults.len());
+        out.sort_by_key(|&(i, _)| i);
+        let summaries: Vec<FaultSummary> = out.into_iter().map(|(_, s)| s).collect();
+        assert!(summaries.iter().all(|s| s.outcome.is_exact()));
+        let singles = sweep_universe(
+            &circuit,
+            &faults,
+            &SweepConfig {
+                collapse: false,
+                batch: 1,
+                ..Default::default()
+            },
+        );
+        assert_bit_identical(&singles.summaries, &summaries);
+    }
+
     #[test]
     fn streamed_records_arrive_in_order_and_match_batch() {
         let circuit = c95();
@@ -1505,9 +1491,9 @@ mod tests {
                 ..Default::default()
             };
             let mut seen: Vec<(usize, FaultSummary)> = Vec::new();
-            let streamed = sweep_universe_streamed(&circuit, &faults, &config, &mut |i, s| {
+            let streamed = sweep_universe_ext(&circuit, &faults, &config, None, Some(&mut |i, s| {
                 seen.push((i, s.clone()))
-            });
+            }));
             assert!(streamed.is_complete());
             assert_eq!(seen.len(), faults.len(), "threads={threads}");
             for (expect, (i, _)) in seen.iter().enumerate() {
@@ -1535,7 +1521,7 @@ mod tests {
             ..Default::default()
         };
         let sweep =
-            sweep_universe_streamed(&circuit, &faults, &config, &mut |i, _| seen.push(i));
+            sweep_universe_ext(&circuit, &faults, &config, None, Some(&mut |i, _| seen.push(i)));
         assert!(!sweep.is_complete());
         // Every healthy index streamed exactly once, ascending; the poisoned
         // index is absent instead of blocking everything after it.
@@ -1575,8 +1561,16 @@ mod tests {
             samples: 512,
             seed: 7,
         };
-        let sweep =
-            analyze_universe_with(&circuit, &faults, config, Parallelism::Threads(2), fallback);
+        let sweep = sweep_universe(
+            &circuit,
+            &faults,
+            &SweepConfig {
+                engine: config,
+                parallelism: Parallelism::Threads(2),
+                fallback,
+                ..Default::default()
+            },
+        );
         assert!(sweep.is_complete(), "budget trips are not panics");
         assert_eq!(sweep.summaries.len(), faults.len());
         assert_eq!(sweep.num_bounded(), faults.len());
@@ -1596,12 +1590,9 @@ mod tests {
             budget: BudgetConfig::with_max_nodes(8),
             ..Default::default()
         };
-        let fallback = FallbackConfig::default();
-        let serial =
-            analyze_universe_with(&circuit, &faults, config, Parallelism::Serial, fallback);
+        let serial = sweep_with(&circuit, &faults, config, Parallelism::Serial);
         for n in [2, 3, 5] {
-            let sharded =
-                analyze_universe_with(&circuit, &faults, config, Parallelism::Threads(n), fallback);
+            let sharded = sweep_with(&circuit, &faults, config, Parallelism::Threads(n));
             assert_bit_identical(&serial.summaries, &sharded.summaries);
         }
     }
@@ -1610,13 +1601,13 @@ mod tests {
     fn generous_budget_still_yields_exact_everywhere() {
         let circuit = c17();
         let faults = stuck_at_universe(&circuit);
-        let unbudgeted = analyze_universe(
+        let unbudgeted = sweep_with(
             &circuit,
             &faults,
             EngineConfig::default(),
             Parallelism::Serial,
         );
-        let budgeted = analyze_universe(
+        let budgeted = sweep_with(
             &circuit,
             &faults,
             EngineConfig {
@@ -1628,38 +1619,6 @@ mod tests {
         assert!(budgeted.summaries.iter().all(|s| s.outcome.is_exact()));
         assert_eq!(budgeted.num_bounded(), 0);
         assert_bit_identical(&unbudgeted.summaries, &budgeted.summaries);
-    }
-
-    #[test]
-    fn private_and_shared_managers_are_bit_identical() {
-        let circuit = c95();
-        let mut faults = stuck_at_universe(&circuit);
-        faults.extend(
-            enumerate_nfbfs(&circuit, BridgeKind::And)
-                .into_iter()
-                .take(6)
-                .map(Fault::from),
-        );
-        let private = sweep_universe(
-            &circuit,
-            &faults,
-            &SweepConfig {
-                manager: ManagerMode::Private,
-                ..Default::default()
-            },
-        );
-        for threads in [1, 2, 4] {
-            let shared = sweep_universe(
-                &circuit,
-                &faults,
-                &SweepConfig {
-                    manager: ManagerMode::SharedSnapshot,
-                    parallelism: Parallelism::Threads(threads),
-                    ..Default::default()
-                },
-            );
-            assert_bit_identical(&private.summaries, &shared.summaries);
-        }
     }
 
     #[test]

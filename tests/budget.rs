@@ -6,8 +6,8 @@
 
 use diffprop::analysis::stuck_at_universe;
 use diffprop::core::{
-    analyze_universe_with, AnalysisError, BudgetConfig, DiffProp, EngineConfig,
-    FallbackConfig, Parallelism,
+    sweep_universe, AnalysisError, BudgetConfig, DiffProp, EngineConfig, FallbackConfig,
+    Parallelism, SweepConfig,
 };
 use diffprop::faults::{checkpoint_faults, Fault};
 use diffprop::netlist::generators::{
@@ -101,12 +101,15 @@ fn tiny_budget_sweep_degrades_instead_of_aborting() {
             samples: 256,
             ..Default::default()
         };
-        let sweep = analyze_universe_with(
+        let sweep = sweep_universe(
             &circuit,
             &faults,
-            config,
-            Parallelism::Threads(3),
-            fallback,
+            &SweepConfig {
+                engine: config,
+                parallelism: Parallelism::Threads(3),
+                fallback,
+                ..Default::default()
+            },
         );
         assert!(sweep.is_complete(), "no shard may fail on {}", circuit.name());
         assert_eq!(sweep.summaries.len(), faults.len());
@@ -126,27 +129,17 @@ fn tiny_budget_sweep_degrades_instead_of_aborting() {
     }
 }
 
-/// Without a configured budget the fallible sweep is the exact sweep: same
-/// scalars, every outcome `Exact`.
+/// Without a configured budget the fallible sweep is the exact engine: same
+/// scalars as the infallible per-fault path, every outcome `Exact`.
 #[test]
 fn unlimited_budget_sweep_matches_the_default_path() {
     let circuit = c95();
     let faults = stuck_at_universe(&circuit, true);
-    let exact = diffprop::core::analyze_universe(
-        &circuit,
-        &faults,
-        EngineConfig::default(),
-        Parallelism::Serial,
-    );
-    let fallible = analyze_universe_with(
-        &circuit,
-        &faults,
-        EngineConfig::default(),
-        Parallelism::Serial,
-        FallbackConfig::default(),
-    );
-    assert_eq!(exact.summaries.len(), fallible.summaries.len());
-    for (a, b) in exact.summaries.iter().zip(&fallible.summaries) {
+    let mut dp = DiffProp::new(&circuit);
+    let exact: Vec<_> = faults.iter().map(|f| dp.analyze(f)).collect();
+    let fallible = sweep_universe(&circuit, &faults, &SweepConfig::default());
+    assert_eq!(exact.len(), fallible.summaries.len());
+    for (a, b) in exact.iter().zip(&fallible.summaries) {
         assert_eq!(a.fault, b.fault);
         assert_eq!(a.detectability.to_bits(), b.detectability.to_bits());
         assert_eq!(a.test_count, b.test_count);

@@ -5,24 +5,24 @@
 //! * **Degeneracy** — a multiplicity-1 multiple stuck-at fault *is* the
 //!   single stuck-at fault: every scalar the engine reports must be
 //!   bit-identical between the two encodings, for every checkpoint fault.
-//! * **Fixpoint conservatism** — running a *non-feedback* bridge through
-//!   the feedback fixpoint must reproduce the one-pass NFBF analysis
-//!   exactly (the loop converges in two sweeps to the same canonical
-//!   OBDDs), with a zero oscillation residual.
 //! * **Schedule invariance** — feedback-bridge and multi-fault sweeps are
-//!   bit-identical across thread counts, manager modes, and batch sizes;
-//!   the new models inherit the determinism contract of the sweep layer.
+//!   bit-identical across thread counts and batch sizes, and to a fresh
+//!   engine per fault; the new models inherit the determinism contract of
+//!   the sweep layer.
+//!
+//! (Fixpoint conservatism — the feedback fixpoint reproducing the one-pass
+//! analysis on a non-feedback bridge — is a unit test of the engine, which
+//! keeps the fixpoint entry point private.)
 
 mod common;
 
 use common::{feedback_universe, multi_universe, summary_line};
 use diffprop::core::{
-    sweep_universe, DiffProp, ManagerMode, Parallelism, SweepConfig,
+    sweep_universe, DiffProp, EngineConfig, FaultOutcome, FaultSummary, Parallelism, SweepConfig,
 };
-use diffprop::faults::{
-    checkpoint_faults, enumerate_nfbfs, BridgeKind, Fault, MultiStuckAt,
-};
+use diffprop::faults::{checkpoint_faults, Fault, MultiStuckAt};
 use diffprop::netlist::generators::{c17, c95};
+use diffprop::netlist::Circuit;
 
 /// Every checkpoint fault, analysed both as a plain stuck-at and as a
 /// multiplicity-1 multiple fault, must yield bit-identical scalars.
@@ -55,58 +55,9 @@ fn multiplicity_one_multi_equals_single_stuck_at() {
     }
 }
 
-/// The feedback fixpoint is conservative: fed a bridge with *no* feedback
-/// path, it converges to the exact same analysis as the one-pass NFBF
-/// route — OBDD canonicity makes "the same" bit-for-bit.
-#[test]
-fn fixpoint_on_nonfeedback_bridge_equals_one_pass_analysis() {
-    for circuit in [c17(), c95()] {
-        let mut dp = DiffProp::new(&circuit);
-        for kind in [BridgeKind::And, BridgeKind::Or] {
-            for bridge in enumerate_nfbfs(&circuit, kind).into_iter().take(40) {
-                let direct = dp
-                    .try_analyze(&Fault::Bridging(bridge))
-                    .expect("one-pass NFBF analysis failed");
-                let fixed = dp
-                    .try_analyze_bridge_fixpoint(&bridge)
-                    .expect("fixpoint analysis of an acyclic bridge failed");
-                assert_eq!(
-                    direct.test_count, fixed.test_count,
-                    "test_count for {bridge:?} on {}",
-                    circuit.name()
-                );
-                assert_eq!(
-                    direct.detectability.to_bits(),
-                    fixed.detectability.to_bits(),
-                    "detectability for {bridge:?} on {}",
-                    circuit.name()
-                );
-                assert_eq!(
-                    direct.observable_outputs, fixed.observable_outputs,
-                    "observability for {bridge:?} on {}",
-                    circuit.name()
-                );
-                assert_eq!(
-                    direct.site_function_constant, fixed.site_function_constant,
-                    "site flag for {bridge:?} on {}",
-                    circuit.name()
-                );
-                // No loop, no residual: the wired value settles everywhere,
-                // and monotone convergence from all-X needs exactly two
-                // sweeps (one to fill, one to confirm).
-                assert_eq!(fixed.oscillation_density.to_bits(), 0f64.to_bits());
-                assert!(
-                    fixed.fixpoint_iterations >= 2,
-                    "fixpoint claims convergence without a confirming sweep"
-                );
-            }
-        }
-    }
-}
-
 /// Renders a whole sweep as golden-format lines (losslessly, outcome
 /// column included) for whole-universe comparison.
-fn sweep_lines(circuit: &diffprop::netlist::Circuit, faults: &[Fault], config: &SweepConfig) -> Vec<String> {
+fn sweep_lines(circuit: &Circuit, faults: &[Fault], config: &SweepConfig) -> Vec<String> {
     sweep_universe(circuit, faults, config)
         .summaries
         .iter()
@@ -115,40 +66,57 @@ fn sweep_lines(circuit: &diffprop::netlist::Circuit, faults: &[Fault], config: &
         .collect()
 }
 
+/// The same lines from a fresh default engine per fault — no sweep, no
+/// shared manager, no collapsing or batching.
+fn fresh_engine_lines(circuit: &Circuit, faults: &[Fault]) -> Vec<String> {
+    faults
+        .iter()
+        .enumerate()
+        .map(|(idx, fault)| {
+            let mut dp = DiffProp::with_config(circuit, EngineConfig::default());
+            let a = dp.analyze(fault);
+            let summary = FaultSummary {
+                fault: fault.clone(),
+                detectability: a.detectability,
+                test_count: a.test_count,
+                observable_outputs: a.observable_outputs.clone(),
+                site_function_constant: a.site_function_constant,
+                adherence: dp.adherence(&a),
+                outcome: if a.oscillation_density > 0.0 {
+                    FaultOutcome::Oscillating {
+                        density_bits: a.oscillation_density.to_bits(),
+                    }
+                } else {
+                    FaultOutcome::Exact
+                },
+            };
+            summary_line(circuit.name(), "x", idx, &summary)
+        })
+        .collect()
+}
+
 /// The determinism contract, extended to the new models: every schedule —
-/// serial or threaded, private managers or a shared frozen snapshot,
-/// batched or not — produces byte-identical summaries, oscillation
-/// densities included.
+/// serial or threaded, batched or not — produces summaries byte-identical
+/// to a fresh engine per fault, oscillation densities included.
 #[test]
 fn extended_models_are_schedule_invariant() {
     for circuit in [c17(), c95()] {
         let mut faults = feedback_universe(&circuit, 30);
         faults.extend(multi_universe(&circuit, 60));
-        let baseline = sweep_lines(
-            &circuit,
-            &faults,
-            &SweepConfig {
-                parallelism: Parallelism::Serial,
-                manager: ManagerMode::Private,
-                ..Default::default()
-            },
-        );
+        let baseline = fresh_engine_lines(&circuit, &faults);
         for parallelism in [Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(4)] {
-            for manager in [ManagerMode::Private, ManagerMode::SharedSnapshot] {
-                for batch in [1, 8] {
-                    let config = SweepConfig {
-                        parallelism,
-                        manager,
-                        batch,
-                        ..Default::default()
-                    };
-                    assert_eq!(
-                        baseline,
-                        sweep_lines(&circuit, &faults, &config),
-                        "summaries drift on {} under {parallelism:?}/{manager:?}/batch {batch}",
-                        circuit.name()
-                    );
-                }
+            for batch in [1, 8] {
+                let config = SweepConfig {
+                    parallelism,
+                    batch,
+                    ..Default::default()
+                };
+                assert_eq!(
+                    baseline,
+                    sweep_lines(&circuit, &faults, &config),
+                    "summaries drift on {} under {parallelism:?}/batch {batch}",
+                    circuit.name()
+                );
             }
         }
     }
