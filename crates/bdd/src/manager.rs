@@ -147,6 +147,7 @@ pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
 /// assert_eq!(m.sat_count(f), 3);
 /// ```
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub struct Manager {
     /// The frozen base this manager extends, if it was produced by
     /// [`FrozenManager::thaw`]. Node indices below the base length resolve
@@ -435,18 +436,6 @@ impl Manager {
         if self.tripped.is_some() {
             return NodeId::TRUE;
         }
-        self.mk_impl(var, lo, hi, true)
-    }
-
-    /// Budget-exempt `mk` for the in-place reorder rewrites, which must
-    /// never observe a dummy edge: a half-rewritten level would corrupt
-    /// the node table. Sifting cost is bounded structurally instead (it
-    /// only re-expresses nodes that already exist).
-    pub(crate) fn mk_raw(&mut self, var: Var, lo: NodeId, hi: NodeId) -> NodeId {
-        self.mk_impl(var, lo, hi, false)
-    }
-
-    fn mk_impl(&mut self, var: Var, lo: NodeId, hi: NodeId, budgeted: bool) -> NodeId {
         if lo == hi {
             return lo;
         }
@@ -476,9 +465,7 @@ impl Manager {
             self.stats.delta_lookups += 1;
             id
         } else {
-            if budgeted
-                && self.budget.max_nodes.is_some_and(|max| self.num_nodes() >= max)
-            {
+            if self.budget.max_nodes.is_some_and(|max| self.num_nodes() >= max) {
                 // Trip before counting the miss or allocating, so the stats
                 // invariant `peak_nodes ≤ 1 + unique.misses` is untouched.
                 self.trip();

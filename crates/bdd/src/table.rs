@@ -10,8 +10,12 @@
 //!   probe compares against it in place. Open addressing with linear probing
 //!   over a power-of-two slot array keeps a lookup inside one or two cache
 //!   lines, and a multiplicative wyhash-style mix of `(var, lo, hi)` replaces
-//!   SipHash. Deletion (needed only by the in-place reorder swaps) uses
-//!   backward-shift compaction, so the table never accumulates tombstones.
+//!   SipHash. It never deletes: gc rebuilds it wholesale.
+//! * [`LevelTable`] is one variable's hash-consing subtable during a sift.
+//!   It stores the `(lo, hi)` key inline beside the node index, so a probe
+//!   never reads the arena (which the level swaps rewrite in place), and it
+//!   deletes by backward-shift compaction, so swaps and reference-count
+//!   deaths leave no tombstones.
 //! * [`OpCache`] is a CUDD-style **direct-mapped, lossy** cache: one slot
 //!   per hash, overwrite on collision. It doubles alongside the node arena
 //!   (up to a hard cap, so memory stays bounded) because a memo much
@@ -172,49 +176,139 @@ impl UniqueTable {
         }
     }
 
-    /// Removes a node by contents (the reorder swap path: the arena slot is
-    /// about to be rewritten in place). Uses backward-shift compaction, so
-    /// no tombstones ever exist; `nodes[index - offset]` must still hold
-    /// `node` when this is called. Returns whether the node was present.
-    pub(crate) fn remove(&mut self, node: &Node, nodes: &[Node], offset: usize) -> bool {
-        let mut i = hash_node(node) as usize & self.mask;
-        loop {
-            let s = self.slots[i];
-            if s == EMPTY {
-                return false;
-            }
-            if nodes[s as usize - offset] == *node {
-                break;
-            }
-            i = (i + 1) & self.mask;
-        }
-        // Backward shift: walk the cluster after the vacated slot and pull
-        // back any entry whose ideal position lies at or before the hole
-        // (in circular probe distance), preserving every probe chain.
-        self.slots[i] = EMPTY;
-        self.len -= 1;
-        let mut j = i;
-        loop {
-            j = (j + 1) & self.mask;
-            let s = self.slots[j];
-            if s == EMPTY {
-                return true;
-            }
-            let ideal = hash_node(&nodes[s as usize - offset]) as usize & self.mask;
-            // Distance from the entry's ideal slot to where it sits must
-            // not shrink past the hole, or its probe chain would break.
-            if (j.wrapping_sub(ideal) & self.mask) >= (j.wrapping_sub(i) & self.mask) {
-                self.slots[i] = s;
-                self.slots[j] = EMPTY;
-                i = j;
-            }
-        }
-    }
-
     /// Empties the table, keeping its allocation (the gc rebuild path).
     pub(crate) fn clear(&mut self) {
         self.slots.fill(EMPTY);
         self.len = 0;
+    }
+}
+
+/// One occupied or vacant [`LevelTable`] slot: the node's key inline and
+/// its arena index (`EMPTY` marks vacancy).
+#[derive(Debug, Clone, Copy)]
+struct LevelEntry {
+    lo: NodeId,
+    hi: NodeId,
+    index: u32,
+}
+
+const VACANT: LevelEntry = LevelEntry {
+    lo: NodeId::TRUE,
+    hi: NodeId::TRUE,
+    index: EMPTY,
+};
+
+/// One variable's unique subtable for the duration of a sift: open
+/// addressing, linear probing, power-of-two capacity, keyed by `(lo, hi)`
+/// (the variable is implied by which subtable is probed). Keys live inline,
+/// so lookups and deletions touch only the slot array.
+#[derive(Debug)]
+pub(crate) struct LevelTable {
+    slots: Box<[LevelEntry]>,
+    mask: usize,
+    len: usize,
+}
+
+impl LevelTable {
+    /// A table pre-sized to hold `expected` nodes without growing.
+    pub(crate) fn with_capacity(expected: usize) -> LevelTable {
+        let capacity = (expected * LOAD_DEN / LOAD_NUM + 1).next_power_of_two().max(8);
+        LevelTable {
+            slots: vec![VACANT; capacity].into_boxed_slice(),
+            mask: capacity - 1,
+            len: 0,
+        }
+    }
+
+    /// Occupied slots.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    fn home(&self, lo: NodeId, hi: NodeId) -> usize {
+        mix(lo.0 as u64, hi.0 as u64) as usize & self.mask
+    }
+
+    /// The arena index stored under `(lo, hi)`, if any.
+    pub(crate) fn get(&self, lo: NodeId, hi: NodeId) -> Option<usize> {
+        let mut i = self.home(lo, hi);
+        loop {
+            let e = self.slots[i];
+            if e.index == EMPTY {
+                return None;
+            }
+            if e.lo == lo && e.hi == hi {
+                return Some(e.index as usize);
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    /// Inserts `(lo, hi) → index`; the caller guarantees the key is absent.
+    pub(crate) fn insert(&mut self, lo: NodeId, hi: NodeId, index: usize) {
+        if (self.len + 1) * LOAD_DEN > self.slots.len() * LOAD_NUM {
+            self.grow();
+        }
+        self.place(LevelEntry {
+            lo,
+            hi,
+            index: index as u32,
+        });
+        self.len += 1;
+    }
+
+    fn place(&mut self, e: LevelEntry) {
+        let mut i = self.home(e.lo, e.hi);
+        while self.slots[i].index != EMPTY {
+            i = (i + 1) & self.mask;
+        }
+        self.slots[i] = e;
+    }
+
+    fn grow(&mut self) {
+        let new_cap = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![VACANT; new_cap].into_boxed_slice());
+        self.mask = new_cap - 1;
+        for &e in old.iter().filter(|e| e.index != EMPTY) {
+            self.place(e);
+        }
+    }
+
+    /// Removes the entry under `(lo, hi)` by backward-shift compaction.
+    /// Returns whether it was present.
+    pub(crate) fn remove(&mut self, lo: NodeId, hi: NodeId) -> bool {
+        let mut i = self.home(lo, hi);
+        loop {
+            let e = self.slots[i];
+            if e.index == EMPTY {
+                return false;
+            }
+            if e.lo == lo && e.hi == hi {
+                break;
+            }
+            i = (i + 1) & self.mask;
+        }
+        // Walk the cluster after the hole and pull back every entry whose
+        // home lies at or before the hole (in circular probe distance), so
+        // no probe chain breaks.
+        self.slots[i] = VACANT;
+        self.len -= 1;
+        let mut j = i;
+        loop {
+            j = (j + 1) & self.mask;
+            let e = self.slots[j];
+            if e.index == EMPTY {
+                return true;
+            }
+            let home = self.home(e.lo, e.hi);
+            if (j.wrapping_sub(home) & self.mask) >= (j.wrapping_sub(i) & self.mask) {
+                self.slots[i] = e;
+                self.slots[j] = VACANT;
+                i = j;
+            }
+        }
     }
 }
 
@@ -513,29 +607,30 @@ mod tests {
     }
 
     #[test]
-    fn remove_backward_shift_keeps_probe_chains() {
-        // Insert enough colliding-ish entries that clusters form, remove
-        // half in an arbitrary order, and verify every survivor stays
-        // findable after each removal — the property backward-shift exists
-        // to maintain.
-        let mut arena = vec![node(u32::MAX, 0, 0)];
-        let mut table = UniqueTable::with_capacity(64);
+    fn level_table_remove_keeps_probe_chains() {
+        // Enough entries that clusters form and the table grows; remove half
+        // in an arbitrary order and check every survivor stays findable
+        // after each removal, which is what backward shift exists for.
+        let key = |v: u32| (NodeId(v * 2 + 3), NodeId(v % 8 * 2 + 2));
+        let mut table = LevelTable::with_capacity(0);
         for v in 0..64u32 {
-            build(&mut arena, &mut table, node(v % 8, v * 2, 2));
+            let (lo, hi) = key(v);
+            table.insert(lo, hi, v as usize + 1);
         }
         let mut removed = std::collections::HashSet::new();
-        for v in (0..64u32).step_by(2) {
-            let n = node(v % 8, v * 2, 2);
-            assert!(table.remove(&n, &arena, 0), "entry {v} vanished early");
+        for v in (0..64u32).step_by(2).rev() {
+            let (lo, hi) = key(v);
+            assert!(table.remove(lo, hi), "entry {v} vanished early");
             removed.insert(v);
             for u in 0..64u32 {
-                let m = node(u % 8, u * 2, 2);
-                let found = table.get(&m, &arena, 0).is_some();
-                assert_eq!(found, !removed.contains(&u), "probe chain broken at {u}");
+                let (lo, hi) = key(u);
+                let want = (!removed.contains(&u)).then_some(u as usize + 1);
+                assert_eq!(table.get(lo, hi), want, "probe chain broken at {u}");
             }
         }
         assert_eq!(table.len(), 32);
-        assert!(!table.remove(&node(0, 0, 2), &arena, 0), "double remove");
+        let (lo, hi) = key(0);
+        assert!(!table.remove(lo, hi), "double remove");
     }
 
     #[test]

@@ -152,7 +152,8 @@ fn sift_is_budget_exempt() {
     let b = m.var(1);
     let _ = m.and(a, b); // trips
     assert!(m.budget_exceeded().is_some());
-    m.sift(&roots);
+    let mut roots = roots;
+    m.sift(&mut roots);
     m.assert_canonical();
     let after: Vec<u128> = roots.iter().map(|&r| m.sat_count(r)).collect();
     assert_eq!(counts, after, "sifting on a tripped manager changed functions");

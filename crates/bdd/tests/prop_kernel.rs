@@ -2,13 +2,12 @@
 //! reference `HashMap` shadow.
 //!
 //! The kernel's hash-consing moved from `HashMap<Node, NodeId>` onto a
-//! custom open-addressing table (arena-indexed values, linear probing,
-//! backward-shift deletion). Its entire contract is *"behaves exactly like
-//! the hash map did"*: the same `mk` call returns the same `NodeId`, an
-//! entry once inserted is always found, and nothing aliases. These
-//! properties drive random `mk`/op/gc/sift/freeze-thaw scripts through a
-//! manager while a `HashMap` keyed on normalised `(var, lo, hi)` triples
-//! shadows the unique table:
+//! custom open-addressing table (arena-indexed values, linear probing).
+//! Its entire contract is *"behaves exactly like the hash map did"*: the
+//! same `mk` call returns the same `NodeId`, an entry once inserted is
+//! always found, and nothing aliases. These properties drive random
+//! `mk`/op/gc/sift/freeze-thaw scripts through a manager while a `HashMap`
+//! keyed on normalised `(var, lo, hi)` triples shadows the unique table:
 //!
 //! * on a shadow **hit**, the manager must return exactly the shadow's
 //!   `NodeId` (the table finds what the reference predicts — no lost
@@ -200,7 +199,7 @@ proptest! {
                     if frozen {
                         continue; // delta managers have a fixed order
                     }
-                    m.sift(&pool);
+                    m.sift(&mut pool);
                     shadow = rebuild_shadow(&m, &pool);
                 }
                 // freeze-thaw: same ids, lookups now cross the base table.

@@ -380,12 +380,15 @@ impl<'c> DiffProp<'c> {
             config.budget,
         )
         .map_err(AnalysisError::BudgetExceeded)?;
-        if config.order.autosifts() && good.num_nodes() > SIFT_TABLE_FLOOR {
-            good.sift();
+        let build_sift = if config.order.autosifts() && good.num_nodes() > SIFT_TABLE_FLOOR {
+            Some(good.sift())
         } else {
             good.gc();
-        }
-        Ok(good.freeze())
+            None
+        };
+        let mut snapshot = good.freeze();
+        snapshot.build_sift = build_sift;
+        Ok(snapshot)
     }
 
     /// Creates an analyser over a thawed copy of a frozen snapshot: the good
@@ -424,8 +427,8 @@ impl<'c> DiffProp<'c> {
     /// the *live* set has outgrown [`SIFT_GROWTH`] × its size at the last
     /// reordering, run a Rudell sift over the good functions.
     ///
-    /// Sifting is budget-exempt by construction (it rewrites levels through
-    /// the manager's raw path; `prop_sift_budget.rs` pins that it completes,
+    /// Sifting is budget-exempt by construction (its level swaps never call
+    /// the budgeted `mk`; `prop_sift_budget.rs` pins that it completes,
     /// never charges the window, and never trips even a zero-step budget),
     /// so a budget-starved analysis can still recover a better order. It is
     /// also invisible in results: functions are preserved node-for-node, so

@@ -169,21 +169,15 @@ impl GoodFunctions {
     }
 
     /// Runs sifting-based dynamic variable reordering over the good
-    /// functions and garbage-collects. Returns `(live nodes before, after)`.
+    /// functions, which leaves only their nodes in the table. Returns
+    /// `(live nodes before, after)`.
     ///
-    /// Uses the compacting sift: collections interleave with the level
-    /// walk (unbounded sift garbage is what made large-table reordering
-    /// intractable), so net handles are *remapped*, not stable — this
-    /// method adopts the remapped ids, and any externally held analysis
-    /// `NodeId`s are invalidated.
+    /// [`Manager::sift`] collects garbage, so net handles are *remapped*,
+    /// not stable: this method adopts the remapped ids, and any externally
+    /// held analysis `NodeId`s are invalidated.
     pub fn sift(&mut self) -> (usize, usize) {
-        let mut roots = self.funcs.clone();
-        let before = self.manager.live_size(&roots);
-        let after = self.manager.sift_compacting(&mut roots);
-        // The walk remapped the roots in place, order preserved: adopt
-        // them as the net handles before the trailing collection.
-        self.funcs = roots;
-        self.gc();
+        let before = self.manager.live_size(&self.funcs);
+        let after = self.manager.sift(&mut self.funcs);
         (before, after)
     }
 
@@ -201,6 +195,7 @@ impl GoodFunctions {
             frozen: self.manager.freeze(),
             funcs: self.funcs,
             cut_nets: self.cut_nets,
+            build_sift: None,
         }
     }
 }
@@ -218,6 +213,8 @@ pub struct GoodSnapshot {
     frozen: FrozenManager,
     funcs: Vec<NodeId>,
     cut_nets: Vec<NetId>,
+    /// `(live nodes before, after)` of the pre-freeze sift, if one ran.
+    pub(crate) build_sift: Option<(usize, usize)>,
 }
 
 impl GoodSnapshot {
@@ -260,6 +257,15 @@ impl GoodSnapshot {
     /// once instead of once per worker.
     pub fn build_stats(&self) -> &ManagerStats {
         self.frozen.build_stats()
+    }
+
+    /// `(live nodes before, after)` of the sift [`DiffProp::build_snapshot`]
+    /// ran before freezing, or `None` if it only collected garbage. Part of
+    /// the one-off build cost, like [`GoodSnapshot::build_stats`].
+    ///
+    /// [`DiffProp::build_snapshot`]: crate::DiffProp::build_snapshot
+    pub fn build_sift(&self) -> Option<(usize, usize)> {
+        self.build_sift
     }
 }
 

@@ -609,6 +609,13 @@ pub fn sweep_universe_ext(
             first.stats = first.stats.merged(snap.build_stats());
         }
         harvest_manager_stats(&mut sweep_col, snap.build_stats());
+        if let Some((before, after)) = snap.build_sift() {
+            sweep_col.add(CounterKind::SiftRuns, 1);
+            sweep_col.add(
+                CounterKind::SiftNodesReclaimed,
+                before.saturating_sub(after) as u64,
+            );
+        }
     }
     sweep_col.finish(SpanKind::Sweep, sweep_timer);
     let totals = reports
@@ -1546,6 +1553,36 @@ mod tests {
         let warm_lookups = warm.merged_stats().unique.lookups;
         let cold_lookups = cold.merged_stats().unique.lookups;
         assert_eq!(warm_lookups + build_lookups, cold_lookups);
+    }
+
+    #[test]
+    fn only_a_cold_sweep_counts_the_pre_freeze_sift() {
+        // c1908s's good table is over the sift floor, so an Auto build
+        // sifts before freezing. The sweep that built the snapshot reports
+        // that sift; a warm sweep over the same snapshot adds nothing.
+        let circuit = dp_netlist::generators::c1908_surrogate();
+        let faults: Vec<Fault> = stuck_at_universe(&circuit).into_iter().take(4).collect();
+        let config = SweepConfig {
+            engine: EngineConfig {
+                order: crate::OrderStrategy::Auto,
+                ..Default::default()
+            },
+            telemetry: TelemetryLevel::Aggregate,
+            ..Default::default()
+        };
+        let snapshot = DiffProp::build_snapshot(&circuit, config.engine).expect("c1908s builds");
+        let (before, after) = snapshot.build_sift().expect("an Auto build over the floor sifts");
+        assert!(after < before, "sift kept {after} of {before} live nodes");
+        let cold = sweep_universe(&circuit, &faults, &config);
+        assert_eq!(cold.totals.counter(CounterKind::SiftRuns), 1);
+        assert_eq!(
+            cold.totals.counter(CounterKind::SiftNodesReclaimed),
+            (before - after) as u64
+        );
+        let warm = sweep_universe_ext(&circuit, &faults, &config, Some(&snapshot), None);
+        assert_eq!(warm.totals.counter(CounterKind::SiftRuns), 0);
+        assert_eq!(warm.totals.counter(CounterKind::SiftNodesReclaimed), 0);
+        assert_bit_identical(&warm.summaries, &cold.summaries);
     }
 
     #[test]

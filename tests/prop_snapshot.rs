@@ -13,7 +13,7 @@ mod common;
 
 use common::{assert_matches_golden, current_golden_lines, stuck_at_universe};
 use diffprop::core::{DiffProp, EngineConfig, OrderStrategy, Parallelism, SweepConfig};
-use diffprop::netlist::generators::c95;
+use diffprop::netlist::generators::{c1908_surrogate, c499_surrogate, c95};
 
 fn config(parallelism: Parallelism, order: OrderStrategy) -> SweepConfig {
     SweepConfig {
@@ -82,4 +82,31 @@ fn frozen_base_is_immutable_while_workers_analyze() {
         digest_before,
         "frozen base nodes were rewritten"
     );
+}
+
+/// The pre-freeze sift, pinned by what it freezes: `OrderStrategy::Auto`
+/// snapshots of the surrogates over the sift floor keep these table
+/// digests. Every node's variable and edges enter the digest, so a changed
+/// sift decision (visiting order, walk, tie-break) or a changed node
+/// placement shows here. (c1355s is pinned by the repo benchmark.)
+#[test]
+fn sifted_auto_snapshots_keep_their_table_digests() {
+    let config = EngineConfig {
+        order: OrderStrategy::Auto,
+        ..Default::default()
+    };
+    for (circuit, digest) in [
+        (c1908_surrogate(), 0xcfca_1c67_8f59_2213_u64),
+        (c499_surrogate(), 0x9dd9_1eb8_cf70_a046),
+    ] {
+        let snapshot = DiffProp::build_snapshot(&circuit, config).unwrap();
+        assert!(snapshot.build_sift().is_some(), "{} did not sift", circuit.name());
+        assert_eq!(
+            snapshot.table_digest(),
+            digest,
+            "{}: {:016x}",
+            circuit.name(),
+            snapshot.table_digest()
+        );
+    }
 }
