@@ -244,10 +244,10 @@ impl Manager {
         }
         let key = OpKey::Ite(f, g, h);
         if let Some(r) = self.op_cache.get(&key) {
-            self.stats[kind].hit();
+            self.stats.op_counter(kind).hit();
             return if flip { r.complemented() } else { r };
         }
-        self.stats[kind].miss();
+        self.stats.op_counter(kind).miss();
         let level = self
             .node_level(f)
             .min(self.node_level(g))
@@ -313,10 +313,10 @@ impl Manager {
         }
         let key = OpKey::Restrict(f, v, value);
         if let Some(r) = self.op_cache.get(&key) {
-            self.stats[OpKind::Restrict].hit();
+            self.stats.op_counter(OpKind::Restrict).hit();
             return r;
         }
-        self.stats[OpKind::Restrict].miss();
+        self.stats.op_counter(OpKind::Restrict).miss();
         let var = self.node_var(f);
         let (lo, hi) = (self.node_lo(f), self.node_hi(f));
         let r = if fl == vl {
@@ -348,10 +348,10 @@ impl Manager {
         let f = f.regular();
         let key = OpKey::Compose(f, v, g);
         let r = if let Some(r) = self.op_cache.get(&key) {
-            self.stats[OpKind::Compose].hit();
+            self.stats.op_counter(OpKind::Compose).hit();
             r
         } else {
-            self.stats[OpKind::Compose].miss();
+            self.stats.op_counter(OpKind::Compose).miss();
             let f0 = self.restrict(f, v, false);
             let f1 = self.restrict(f, v, true);
             let r = self.ite(g, f1, f0);
@@ -420,10 +420,10 @@ impl Manager {
                 OpKey::Forall(f, mask)
             };
             if let Some(r) = self.op_cache.get(&key) {
-                self.stats[kind].hit();
+                self.stats.op_counter(kind).hit();
                 return r;
             }
-            self.stats[kind].miss();
+            self.stats.op_counter(kind).miss();
         }
         let mut r = f;
         for &v in vars {
@@ -532,18 +532,21 @@ mod tests {
         let a = m.var(0);
         let b = m.var(1);
         let f1 = m.and(a, b);
-        let misses_after_and = m.stats()[OpKind::And].misses;
+        let misses_after_and = m.stats().op_cumulative(OpKind::And).misses;
         let na = m.not(a);
         let nb = m.not(b);
         let or = m.or(na, nb);
         let f2 = m.not(or);
         assert_eq!(f1, f2);
         assert_eq!(
-            m.stats()[OpKind::Or].misses,
+            m.stats().op_cumulative(OpKind::Or).misses,
             0,
             "¬a ∨ ¬b should hit the a∧b standard triple"
         );
-        assert_eq!(m.stats()[OpKind::And].misses, misses_after_and);
+        assert_eq!(
+            m.stats().op_cumulative(OpKind::And).misses,
+            misses_after_and
+        );
     }
 
     #[test]
@@ -552,10 +555,14 @@ mod tests {
         let a = m.var(0);
         let b = m.var(1);
         let f1 = m.xor(a, b);
-        let misses = m.stats()[OpKind::Xor].misses;
+        let misses = m.stats().op_cumulative(OpKind::Xor).misses;
         let f2 = m.xor(b, a);
         assert_eq!(f1, f2);
-        assert_eq!(m.stats()[OpKind::Xor].misses, misses, "xor(b,a) missed");
+        assert_eq!(
+            m.stats().op_cumulative(OpKind::Xor).misses,
+            misses,
+            "xor(b,a) missed"
+        );
     }
 
     #[test]

@@ -8,22 +8,16 @@
 //!
 //! # Counter lifetimes
 //!
-//! * **Unique-table counters, `gc_runs`, `peak_nodes`, `op_steps` and
-//!   `budget_trips` are cumulative** over the manager's lifetime; nothing
-//!   resets them.
-//! * **Op-cache counters exist in two views.** The per-generation view
-//!   (`stats[OpKind::Xor]`, [`ManagerStats::op_total`]) restarts whenever the
-//!   cache itself is dropped — by [`Manager::gc`](crate::Manager::gc) or
-//!   [`Manager::clear_op_cache`](crate::Manager::clear_op_cache) — because a
-//!   cleared cache starts cold and each generation's hit *rate* is only
-//!   interpretable on its own. The cumulative view
-//!   ([`ManagerStats::op_cumulative`], [`ManagerStats::op_cumulative_total`])
-//!   folds every finished generation in and survives GC, so lifetime work
-//!   comparisons (e.g. "collapsing cut op-cache traffic by 30%") read one
-//!   counter instead of reconstructing it around collection boundaries.
+//! Every counter is cumulative over the manager's lifetime; nothing resets
+//! them. That includes the op-cache counters: a collection
+//! ([`Manager::gc`](crate::Manager::gc)) or
+//! [`Manager::clear_op_cache`](crate::Manager::clear_op_cache) drops the
+//! cache's entries but not its tallies, so lifetime work comparisons (e.g.
+//! "collapsing cut op-cache traffic by 30%") read one counter
+//! ([`ManagerStats::op_cumulative`], [`ManagerStats::op_cumulative_total`])
+//! instead of reconstructing it around collection boundaries.
 
 use std::fmt;
-use std::ops::{Index, IndexMut};
 
 /// The memoised operation families tracked by [`ManagerStats`].
 ///
@@ -146,8 +140,8 @@ impl CacheCounters {
 /// Counters maintained by a [`Manager`](crate::Manager); read them through
 /// [`Manager::stats`](crate::Manager::stats).
 ///
-/// See the [module docs](self) for which counters are cumulative and which
-/// reset with the op cache.
+/// Every counter is cumulative over the manager's lifetime: dropping the op
+/// cache (`gc`, `clear_op_cache`) clears its entries, never its counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ManagerStats {
     /// Unique-table (hash-consing) probes made by `mk`. Cumulative.
@@ -169,12 +163,9 @@ pub struct ManagerStats {
     /// a delta manager starts at `base_nodes`, so its allocation invariant is
     /// `peak_nodes ≤ max(base_nodes, 1) + unique.misses`.
     pub base_nodes: usize,
-    /// Per-family op-cache probes for the *current* cache generation.
-    /// Reset when the op cache is cleared.
+    /// Per-family op-cache probes, indexed by [`OpKind`]. Cumulative: read
+    /// through [`ManagerStats::op_cumulative`].
     op: [CacheCounters; 9],
-    /// Per-family op-cache probes folded from every *finished* generation.
-    /// `op_prior + op` is the cumulative view; see [`ManagerStats::op_cumulative`].
-    op_prior: [CacheCounters; 9],
     /// Completed [`Manager::gc`](crate::Manager::gc) runs. Cumulative.
     pub gc_runs: u64,
     /// Largest node-table length ever observed (terminals included).
@@ -189,33 +180,16 @@ pub struct ManagerStats {
     pub budget_trips: u64,
 }
 
-impl Index<OpKind> for ManagerStats {
-    type Output = CacheCounters;
-
-    fn index(&self, kind: OpKind) -> &CacheCounters {
-        &self.op[kind.index()]
-    }
-}
-
-impl IndexMut<OpKind> for ManagerStats {
-    fn index_mut(&mut self, kind: OpKind) -> &mut CacheCounters {
+impl ManagerStats {
+    /// The tally the op-cache probe sites bump for one family.
+    pub(crate) fn op_counter(&mut self, kind: OpKind) -> &mut CacheCounters {
         &mut self.op[kind.index()]
     }
-}
 
-impl ManagerStats {
-    /// Op-cache counters for the current generation, summed over every
-    /// operation family.
-    pub fn op_total(&self) -> CacheCounters {
-        self.op
-            .iter()
-            .fold(CacheCounters::default(), |acc, &c| acc.merged(c))
-    }
-
-    /// Cumulative op-cache counters for one family: every finished cache
-    /// generation plus the current one. Survives GC and cache clears.
+    /// Cumulative op-cache counters for one family. Survives GC and cache
+    /// clears.
     pub fn op_cumulative(&self, kind: OpKind) -> CacheCounters {
-        self.op_prior[kind.index()].merged(self.op[kind.index()])
+        self.op[kind.index()]
     }
 
     /// Cumulative op-cache counters summed over every operation family.
@@ -236,10 +210,6 @@ impl ManagerStats {
         for (a, b) in op.iter_mut().zip(other.op.iter()) {
             *a = a.merged(*b);
         }
-        let mut op_prior = self.op_prior;
-        for (a, b) in op_prior.iter_mut().zip(other.op_prior.iter()) {
-            *a = a.merged(*b);
-        }
         ManagerStats {
             unique: self.unique.merged(other.unique),
             base_hits: self.base_hits + other.base_hits,
@@ -248,22 +218,11 @@ impl ManagerStats {
             // would double-count a structure that exists once.
             base_nodes: self.base_nodes.max(other.base_nodes),
             op,
-            op_prior,
             gc_runs: self.gc_runs + other.gc_runs,
             peak_nodes: self.peak_nodes.max(other.peak_nodes),
             op_steps: self.op_steps + other.op_steps,
             budget_trips: self.budget_trips + other.budget_trips,
         }
-    }
-
-    /// Called when the op cache is dropped: the finished generation's tallies
-    /// fold into the cumulative view, the per-generation view restarts cold
-    /// (see the module docs).
-    pub(crate) fn reset_op_counters(&mut self) {
-        for (prior, current) in self.op_prior.iter_mut().zip(self.op.iter()) {
-            *prior = prior.merged(*current);
-        }
-        self.op = Default::default();
     }
 }
 
@@ -281,18 +240,15 @@ impl fmt::Display for ManagerStats {
             self.op_steps,
             self.budget_trips
         )?;
-        let total = self.op_total();
-        let cumulative = self.op_cumulative_total();
+        let total = self.op_cumulative_total();
         writeln!(
             f,
-            "op cache: {} lookups lifetime, {:.1}% hit | this generation: {} lookups, {:.1}% hit",
-            cumulative.lookups,
-            100.0 * cumulative.hit_rate(),
+            "op cache: {} lookups, {:.1}% hit",
             total.lookups,
             100.0 * total.hit_rate()
         )?;
         for kind in OpKind::ALL {
-            let c = self[kind];
+            let c = self.op_cumulative(kind);
             if c.lookups == 0 {
                 continue;
             }
@@ -336,21 +292,21 @@ mod tests {
         let mut a = ManagerStats::default();
         let mut b = ManagerStats::default();
         a.unique.hit();
-        a[OpKind::Xor].miss();
+        a.op_counter(OpKind::Xor).miss();
         a.peak_nodes = 10;
         a.gc_runs = 1;
         a.op_steps = 100;
         a.budget_trips = 2;
         b.unique.miss();
-        b[OpKind::Xor].hit();
+        b.op_counter(OpKind::Xor).hit();
         b.peak_nodes = 7;
         b.op_steps = 50;
         b.base_nodes = 5;
         let m = a.merged(&b);
         assert_eq!(m.base_nodes, 5, "shared base is not double counted");
         assert_eq!(m.unique.lookups, 2);
-        assert_eq!(m[OpKind::Xor].lookups, 2);
-        assert_eq!(m[OpKind::Xor].hits, 1);
+        assert_eq!(m.op_cumulative(OpKind::Xor).lookups, 2);
+        assert_eq!(m.op_cumulative(OpKind::Xor).hits, 1);
         assert_eq!(m.peak_nodes, 10);
         assert_eq!(m.gc_runs, 1);
         assert_eq!(m.op_steps, 150);
@@ -358,32 +314,9 @@ mod tests {
     }
 
     #[test]
-    fn reset_folds_the_generation_into_the_cumulative_view() {
-        let mut s = ManagerStats::default();
-        s[OpKind::Xor].hit();
-        s[OpKind::Xor].miss();
-        s[OpKind::Ite].miss();
-        s.reset_op_counters();
-        // Per-generation view restarts cold...
-        assert_eq!(s.op_total(), CacheCounters::default());
-        // ...while the cumulative view keeps every probe.
-        assert_eq!(s.op_cumulative(OpKind::Xor).lookups, 2);
-        assert_eq!(s.op_cumulative(OpKind::Xor).hits, 1);
-        assert_eq!(s.op_cumulative_total().lookups, 3);
-        // A second generation adds on top.
-        s[OpKind::Xor].hit();
-        assert_eq!(s.op_cumulative(OpKind::Xor).lookups, 3);
-        assert_eq!(s.op_cumulative_total().lookups, 4);
-        // Merging preserves both views.
-        let m = s.merged(&s);
-        assert_eq!(m.op_cumulative_total().lookups, 8);
-        assert_eq!(m.op_total().lookups, 2);
-    }
-
-    #[test]
     fn display_lists_active_ops_only() {
         let mut s = ManagerStats::default();
-        s[OpKind::Ite].hit();
+        s.op_counter(OpKind::Ite).hit();
         let text = s.to_string();
         assert!(text.contains("ite"));
         assert!(!text.contains("restrict"));

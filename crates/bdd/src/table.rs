@@ -312,10 +312,10 @@ impl LevelTable {
     }
 }
 
-/// Default [`OpCache`] capacity for standalone managers (slots; must be a
-/// power of two). Engines size the cache for the workload via
-/// `Manager::set_op_cache_capacity`; 16Ki slots (~384 KiB) is enough for
-/// the unit-test-sized circuits a bare `Manager::new` typically serves.
+/// Starting [`OpCache`] capacity of every manager, thawed ones included
+/// (slots; must be a power of two). 16Ki slots (~384 KiB) serves small
+/// circuits as is; larger arenas grow the cache through
+/// [`OpCache::maybe_grow`].
 pub(crate) const DEFAULT_OP_CACHE_CAPACITY: usize = 1 << 14;
 
 /// One operation-cache slot: the standard-triple key, the memoised result,

@@ -1,6 +1,6 @@
 //! Behavioural tests for the `ManagerStats` observability layer: which
-//! operations feed which counters, and which counters survive a GC or an
-//! op-cache clear.
+//! operations feed which counters, and that every counter survives a GC or
+//! an op-cache clear.
 
 use dp_bdd::{Manager, NodeId, OpKind};
 
@@ -10,10 +10,10 @@ fn assert_internally_consistent(m: &Manager) {
     let s = m.stats();
     assert_eq!(s.unique.hits + s.unique.misses, s.unique.lookups, "unique");
     for kind in OpKind::ALL {
-        let c = s[kind];
+        let c = s.op_cumulative(kind);
         assert_eq!(c.hits + c.misses, c.lookups, "{kind:?}");
     }
-    let t = s.op_total();
+    let t = s.op_cumulative_total();
     assert_eq!(t.hits + t.misses, t.lookups, "op total");
     assert!(s.peak_nodes >= m.num_nodes(), "peak below live node count");
 }
@@ -23,7 +23,7 @@ fn fresh_manager_has_empty_counters() {
     let m = Manager::new(4);
     let s = m.stats();
     assert_eq!(s.unique.lookups, 0);
-    assert_eq!(s.op_total().lookups, 0);
+    assert_eq!(s.op_cumulative_total().lookups, 0);
     assert_eq!(s.gc_runs, 0);
     assert_eq!(s.peak_nodes, 1); // the single shared terminal
     assert_internally_consistent(&m);
@@ -39,10 +39,10 @@ fn apply_feeds_per_connective_counters() {
     let _ = m.or(ab, c);
     let _ = m.xor(a, c);
     let s = m.stats();
-    assert!(s[OpKind::And].lookups > 0);
-    assert!(s[OpKind::Or].lookups > 0);
-    assert!(s[OpKind::Xor].lookups > 0);
-    assert_eq!(s[OpKind::Ite].lookups, 0);
+    assert!(s.op_cumulative(OpKind::And).lookups > 0);
+    assert!(s.op_cumulative(OpKind::Or).lookups > 0);
+    assert!(s.op_cumulative(OpKind::Xor).lookups > 0);
+    assert_eq!(s.op_cumulative(OpKind::Ite).lookups, 0);
     assert_internally_consistent(&m);
 }
 
@@ -52,17 +52,20 @@ fn repeated_apply_hits_the_cache() {
     let a = m.var(0);
     let b = m.var(1);
     let f1 = m.xor(a, b);
-    let misses_after_first = m.stats()[OpKind::Xor].misses;
+    let misses_after_first = m.stats().op_cumulative(OpKind::Xor).misses;
     // Same call again: served from the op cache in one probe.
     let f2 = m.xor(a, b);
     assert_eq!(f1, f2);
     let s = m.stats();
-    assert_eq!(s[OpKind::Xor].misses, misses_after_first);
-    assert!(s[OpKind::Xor].hits >= 1);
+    assert_eq!(s.op_cumulative(OpKind::Xor).misses, misses_after_first);
+    assert!(s.op_cumulative(OpKind::Xor).hits >= 1);
     // Commuted operands share the canonicalised cache entry.
     let f3 = m.xor(b, a);
     assert_eq!(f1, f3);
-    assert_eq!(m.stats()[OpKind::Xor].misses, misses_after_first);
+    assert_eq!(
+        m.stats().op_cumulative(OpKind::Xor).misses,
+        misses_after_first
+    );
     assert_internally_consistent(&m);
 }
 
@@ -75,8 +78,8 @@ fn terminal_shortcuts_bypass_the_cache() {
     let _ = m.or(a, NodeId::TRUE);
     let _ = m.and(a, a);
     let s = m.stats();
-    assert_eq!(s[OpKind::And].lookups, 0);
-    assert_eq!(s[OpKind::Or].lookups, 0);
+    assert_eq!(s.op_cumulative(OpKind::And).lookups, 0);
+    assert_eq!(s.op_cumulative(OpKind::Or).lookups, 0);
 }
 
 #[test]
@@ -92,11 +95,11 @@ fn ite_restrict_compose_and_quantifiers_are_tracked() {
     let _ = m.exists(mux, &[0, 1]);
     let _ = m.forall(mux, &[2]);
     let s = m.stats();
-    assert!(s[OpKind::Ite].lookups > 0);
-    assert!(s[OpKind::Restrict].lookups > 0);
-    assert!(s[OpKind::Compose].lookups > 0);
-    assert!(s[OpKind::Exists].lookups > 0);
-    assert!(s[OpKind::Forall].lookups > 0);
+    assert!(s.op_cumulative(OpKind::Ite).lookups > 0);
+    assert!(s.op_cumulative(OpKind::Restrict).lookups > 0);
+    assert!(s.op_cumulative(OpKind::Compose).lookups > 0);
+    assert!(s.op_cumulative(OpKind::Exists).lookups > 0);
+    assert!(s.op_cumulative(OpKind::Forall).lookups > 0);
     assert_internally_consistent(&m);
 }
 
@@ -132,51 +135,43 @@ fn peak_nodes_survives_gc_compaction() {
 }
 
 #[test]
-fn gc_resets_op_cache_counters_but_not_cumulative_ones() {
+fn gc_keeps_every_counter_cumulative() {
     let mut m = Manager::new(3);
     let a = m.var(0);
     let b = m.var(1);
     let f = m.and(a, b);
     let _ = m.and(a, b); // guaranteed op-cache hit
     let before = m.stats().clone();
-    assert!(before[OpKind::And].lookups > 0);
+    assert!(before.op_cumulative(OpKind::And).lookups > 0);
     assert!(before.unique.lookups > 0);
 
     let remap = m.gc(&[f]);
     let f = remap.map(f);
 
-    // Documented contract: a collection drops the op cache AND its
-    // per-generation counters, so each cache generation reports its own hit
-    // rate.
+    // A collection drops the op cache's entries but no counter: the
+    // op-cache tallies survive with the unique-table ones.
     let s = m.stats();
-    assert_eq!(s.op_total().lookups, 0);
-    assert_eq!(s[OpKind::And].lookups, 0);
-    // Cumulative counters survive — including the cumulative op-cache view,
-    // which folds the finished generation in rather than losing it.
     assert_eq!(s.unique.lookups, before.unique.lookups);
     assert_eq!(s.peak_nodes, before.peak_nodes);
     assert_eq!(s.gc_runs, 1);
     assert_eq!(
         s.op_cumulative(OpKind::And).lookups,
-        before[OpKind::And].lookups
+        before.op_cumulative(OpKind::And).lookups
     );
     assert_eq!(
         s.op_cumulative_total().lookups,
-        before.op_total().lookups,
+        before.op_cumulative_total().lookups,
         "cumulative op-cache lookups must survive gc"
     );
     assert_eq!(s.op_steps, before.op_steps, "op_steps must survive gc");
 
-    // The new cache generation starts cold: the same apply misses again, and
-    // the cumulative view keeps growing on top of the folded history.
+    // The cache itself starts cold: a fresh apply misses again, on top of
+    // the history the counters kept.
     let g = m.var(2);
     let _ = m.and(f, g);
     let s = m.stats();
-    assert!(s[OpKind::And].misses > 0);
-    assert_eq!(
-        s.op_cumulative_total().lookups,
-        before.op_total().lookups + s.op_total().lookups
-    );
+    assert!(s.op_cumulative(OpKind::And).misses > before.op_cumulative(OpKind::And).misses);
+    assert!(s.op_cumulative_total().lookups > before.op_cumulative_total().lookups);
     assert_internally_consistent(&m);
 }
 
@@ -193,31 +188,37 @@ fn not_generates_no_cache_traffic_and_no_nodes() {
     assert_eq!(nnf, f);
     assert_eq!(m.num_nodes(), nodes_before, "not() allocated");
     let s = m.stats();
-    assert_eq!(s[OpKind::Not].lookups, 0, "not() probed the op cache");
-    assert_eq!(s.op_total().lookups, stats_before.op_total().lookups);
+    assert_eq!(
+        s.op_cumulative(OpKind::Not).lookups,
+        0,
+        "not() probed the op cache"
+    );
+    assert_eq!(
+        s.op_cumulative_total().lookups,
+        stats_before.op_cumulative_total().lookups
+    );
     assert_eq!(s.unique.lookups, stats_before.unique.lookups);
 }
 
 #[test]
-fn clear_op_cache_resets_op_counters_only() {
+fn clear_op_cache_keeps_every_counter() {
     let mut m = Manager::new(2);
     let a = m.var(0);
     let b = m.var(1);
     let _ = m.or(a, b);
     let unique_before = m.stats().unique;
-    assert!(m.stats()[OpKind::Or].lookups > 0);
+    assert!(m.stats().op_cumulative(OpKind::Or).lookups > 0);
 
     let cumulative_before = m.stats().op_cumulative_total();
     m.clear_op_cache();
 
     let s = m.stats();
-    assert_eq!(s.op_total().lookups, 0);
     assert_eq!(s.unique, unique_before);
     assert_eq!(s.gc_runs, 0, "clear_op_cache is not a gc");
     assert_eq!(
         s.op_cumulative_total(),
         cumulative_before,
-        "clear_op_cache must fold, not drop, the finished generation"
+        "clear_op_cache must keep, not drop, the op-cache counters"
     );
 }
 
@@ -269,8 +270,9 @@ fn merged_aggregates_two_managers() {
         m1.stats().unique.lookups + m2.stats().unique.lookups
     );
     assert_eq!(
-        merged[OpKind::Xor].lookups,
-        m1.stats()[OpKind::Xor].lookups + m2.stats()[OpKind::Xor].lookups
+        merged.op_cumulative(OpKind::Xor).lookups,
+        m1.stats().op_cumulative(OpKind::Xor).lookups
+            + m2.stats().op_cumulative(OpKind::Xor).lookups
     );
     assert_eq!(
         merged.peak_nodes,

@@ -136,8 +136,7 @@ pub struct BenchRecord {
     /// `faults / seconds`.
     pub faults_per_sec: f64,
     /// Op-cache probes summed over workers, cumulative across every gc
-    /// generation (the per-generation counters reset when a gc clears the
-    /// cache; this view survives those resets).
+    /// (a collection clears the cache's entries, never its counters).
     pub op_steps: u64,
     /// Unique-table probes summed over workers (cumulative for the life of
     /// each manager).

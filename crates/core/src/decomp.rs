@@ -172,7 +172,7 @@ mod tests {
     fn decomposed_analysis_runs_and_approximates() {
         let c = c499_surrogate();
         let (good, _cuts) = GoodFunctions::build_auto_decomposed(&c, 200);
-        let mut approx = DiffProp::with_good_functions(&c, good, EngineConfig::default());
+        let mut approx = DiffProp::from_snapshot(&c, &good.freeze(), EngineConfig::default());
         let mut exact = DiffProp::new(&c);
         // PI faults: sampled comparison. The approximation must agree on
         // detectable-vs-not and stay within a loose band on probability.

@@ -39,24 +39,16 @@ pub struct EngineConfig {
     pub gc_growth: f64,
     /// Work budget for the BDD manager. Only the fallible entry points
     /// ([`DiffProp::try_analyze`], [`DiffProp::try_analyze_stuck_at_batch`],
-    /// [`DiffProp::try_with_config`]) honour it — [`DiffProp::analyze`]
+    /// [`DiffProp::build_snapshot`]) honour it — [`DiffProp::analyze`]
     /// temporarily lifts it so its answers stay exact. The default,
     /// [`BudgetConfig::UNLIMITED`], reproduces unbounded behaviour.
     pub budget: BudgetConfig,
-    /// How the manager's variable order is chosen (and whether the engine
-    /// sifts dynamically mid-sweep). Execution-only: every analysis result
-    /// is bit-identical across strategies, only cost moves. The default,
+    /// How the manager's variable order is chosen (and whether
+    /// [`DiffProp::build_snapshot`] sifts once before freezing).
+    /// Execution-only: every analysis result is bit-identical across
+    /// strategies, only cost moves. The default,
     /// [`OrderStrategy::Identity`], reproduces the declared input order.
     pub order: OrderStrategy,
-    /// Starting slot count for the manager's direct-mapped operation cache
-    /// (rounded up to a power of two by the kernel, and treated as a floor:
-    /// the kernel doubles the cache as the node arena outgrows it, up to an
-    /// internal hard cap). The cache is lossy — a collision overwrites — so
-    /// this is a pure speed/memory dial with no effect on any analysis
-    /// result; only the layout-dependent execution counters (cache hit
-    /// rates, `op_steps`) move with it. The default suits the ISCAS-scale
-    /// surrogates; shrink it to bound small-worker memory harder.
-    pub op_cache_capacity: usize,
 }
 
 impl Default for EngineConfig {
@@ -68,7 +60,6 @@ impl Default for EngineConfig {
             gc_growth: 4.0,
             budget: BudgetConfig::UNLIMITED,
             order: OrderStrategy::Identity,
-            op_cache_capacity: 1 << 18,
         }
     }
 }
@@ -80,12 +71,6 @@ const GC_TABLE_FLOOR: usize = 1 << 10;
 /// [`OrderStrategy::Auto`] never sifts tables smaller than this: a Rudell
 /// pass over a few thousand nodes costs more than any order could save.
 const SIFT_TABLE_FLOOR: usize = 1 << 12;
-
-/// Auto-sift trigger: reorder when the post-collection *live* size exceeds
-/// this multiple of the size right after the previous sift (or the initial
-/// build). Growth of the live set — not of the table, which gc already
-/// bounds — is the signal that the current order has gone stale.
-const SIFT_GROWTH: f64 = 2.0;
 
 /// The result of analysing one fault: the complete test set and the exact
 /// metrics derived from it.
@@ -142,17 +127,6 @@ impl FaultAnalysis {
     pub fn num_observable(&self) -> usize {
         self.observable_outputs.iter().filter(|&&b| b).count()
     }
-}
-
-/// What one propagation run produced — the fault-independent tail of a
-/// [`FaultAnalysis`].
-struct Propagated {
-    po_deltas: Vec<NodeId>,
-    test_set: NodeId,
-    detectability: f64,
-    test_count: Option<u128>,
-    observable_outputs: Vec<bool>,
-    gates_propagated: u32,
 }
 
 /// Iteration cap for the feedback-bridge ternary fixpoint. The dual-rail
@@ -243,23 +217,18 @@ struct SiteInit {
 
 /// The Difference Propagation analyser for one circuit.
 ///
-/// Builds the good functions once, then analyses any number of faults
-/// against them. See the [crate documentation](crate) for the method and an
-/// end-to-end example.
+/// Every engine works over a thawed [`GoodSnapshot`]: the good functions
+/// are built once and frozen ([`DiffProp::build_snapshot`]), and all
+/// per-fault work lands in the engine's private delta manager. See the
+/// [crate documentation](crate) for the method and an end-to-end example.
 #[derive(Debug)]
 pub struct DiffProp<'c> {
     circuit: &'c Circuit,
     good: GoodFunctions,
     config: EngineConfig,
-    /// Node-table size right after the last collection (or the initial
-    /// build); the reference point for [`EngineConfig::gc_growth`].
+    /// Node-table size right after the last collection (or the thaw); the
+    /// reference point for [`EngineConfig::gc_growth`].
     gc_baseline: usize,
-    /// Live size right after the last dynamic reordering (or the initial
-    /// build); the reference point for [`OrderStrategy::Auto`]'s
-    /// [`SIFT_GROWTH`] trigger.
-    sift_baseline: usize,
-    /// Dynamic reorderings this engine has run (Auto order only).
-    sift_runs: u64,
     /// Transitive-fanout relation, built once per engine. Drives the
     /// cone-restricted propagation: per fault, the set of live primary
     /// outputs (those in a fault site's fanout cone).
@@ -286,44 +255,20 @@ impl<'c> DiffProp<'c> {
         Self::with_config(circuit, EngineConfig::default())
     }
 
-    /// Creates an analyser with an explicit configuration.
-    ///
-    /// The good functions are built *without* a budget (construction cannot
-    /// fail), then [`EngineConfig::budget`] is armed for subsequent fallible
-    /// analyses. Use [`DiffProp::try_with_config`] to bound the build too.
+    /// Creates an analyser with an explicit configuration: builds an
+    /// unbudgeted snapshot ([`DiffProp::build_snapshot`], so construction
+    /// cannot fail) and thaws it under `config`, whose
+    /// [`EngineConfig::budget`] is then armed for subsequent fallible
+    /// analyses. To bound the build too, call [`DiffProp::build_snapshot`]
+    /// with the budget and [`DiffProp::from_snapshot`] yourself.
     pub fn with_config(circuit: &'c Circuit, config: EngineConfig) -> Self {
-        let mut good = GoodFunctions::build_with_order(circuit, &config.order.resolve(circuit));
-        good.manager_mut().set_budget(config.budget);
-        Self::assemble(circuit, good, config)
-    }
-
-    /// Shared constructor tail: derive the structural caches and size the
-    /// kernel's operation cache for the configured workload. The configured
-    /// capacity is a floor — a cache the kernel already grew past it (it
-    /// doubles with the node arena) is left alone rather than shrunk and
-    /// re-grown. (Resizing starts a fresh cache generation; results are
-    /// unaffected — the cache is lossy by design — and cumulative counters
-    /// survive the fold.)
-    fn assemble(circuit: &'c Circuit, mut good: GoodFunctions, config: EngineConfig) -> Self {
-        if good.manager().op_cache_capacity() < config.op_cache_capacity.next_power_of_two().max(1024) {
-            good.manager_mut().set_op_cache_capacity(config.op_cache_capacity);
-        }
-        let gc_baseline = good.num_nodes();
-        let reach = Reachability::compute(circuit);
-        let feeds_output = reach.feeds_output_flags(circuit);
-        let xor_macros = XorMacros::find(circuit);
-        DiffProp {
-            circuit,
-            good,
-            config,
-            gc_baseline,
-            sift_baseline: gc_baseline.max(1),
-            sift_runs: 0,
-            reach,
-            feeds_output,
-            xor_macros,
-            telemetry: None,
-        }
+        let unbudgeted = EngineConfig {
+            budget: BudgetConfig::UNLIMITED,
+            ..config
+        };
+        let snapshot =
+            Self::build_snapshot(circuit, unbudgeted).expect("unlimited budget cannot trip");
+        Self::from_snapshot(circuit, &snapshot, config)
     }
 
     /// Attaches a telemetry collector. Observation-only by contract: the
@@ -334,40 +279,18 @@ impl<'c> DiffProp<'c> {
         self.telemetry = Some(collector);
     }
 
-    /// Creates an analyser with an explicit configuration, honouring
-    /// [`EngineConfig::budget`] already during the good-function build.
+    /// Builds the good functions once and freezes them into an immutable,
+    /// shareable [`GoodSnapshot`] — the set-up every engine thaws. Honours
+    /// [`EngineConfig::budget`] during the build.
     ///
     /// Returns [`AnalysisError::BudgetExceeded`] when the circuit's good
     /// functions alone exceed the budget — analysis cannot even start, and
     /// the caller should fall back to simulation for the whole circuit.
-    pub fn try_with_config(
-        circuit: &'c Circuit,
-        config: EngineConfig,
-    ) -> Result<Self, AnalysisError> {
-        let good =
-            GoodFunctions::try_build_with_order(circuit, &config.order.resolve(circuit), config.budget)
-                .map_err(AnalysisError::BudgetExceeded)?;
-        Ok(Self::assemble(circuit, good, config))
-    }
-
-    /// Creates an analyser around pre-built good functions (e.g. with a
-    /// custom variable order).
-    pub fn with_good_functions(
-        circuit: &'c Circuit,
-        good: GoodFunctions,
-        config: EngineConfig,
-    ) -> Self {
-        Self::assemble(circuit, good, config)
-    }
-
-    /// Builds the good functions once and freezes them into an immutable,
-    /// shareable [`GoodSnapshot`] — the one-time setup of shared-manager
-    /// parallelism. Honours [`EngineConfig::budget`] during the build.
     ///
     /// The base variable order is fixed at freeze time by
     /// [`OrderStrategy::resolve`]; for [`OrderStrategy::Auto`] a single
-    /// static sift runs here (over the floor size) instead of dynamically in
-    /// the workers, because a frozen base cannot reorder. The table is
+    /// sift runs here (over the floor size) — the strategy's only
+    /// reordering, because a frozen base cannot reorder. The table is
     /// collected before freezing so the base carries only the live good
     /// functions, not build intermediates.
     pub fn build_snapshot(
@@ -396,9 +319,10 @@ impl<'c> DiffProp<'c> {
     /// allocates lands in a private delta manager. Infallible — the
     /// expensive, fallible work happened in [`DiffProp::build_snapshot`].
     ///
-    /// Every analysis result is bit-identical to an engine that built its
-    /// own manager with the same order (OBDD canonicity: the scalars depend
-    /// only on the functions, not on who owns the node table).
+    /// The delta manager's operation cache starts at the kernel default and
+    /// grows with the node arena (base included), so no engine sizes it.
+    /// Every analysis result depends only on the functions, never on who
+    /// owns the node table (OBDD canonicity).
     pub fn from_snapshot(
         circuit: &'c Circuit,
         snapshot: &GoodSnapshot,
@@ -406,7 +330,17 @@ impl<'c> DiffProp<'c> {
     ) -> Self {
         let mut good = snapshot.thaw();
         good.manager_mut().set_budget(config.budget);
-        Self::assemble(circuit, good, config)
+        let reach = Reachability::compute(circuit);
+        DiffProp {
+            circuit,
+            gc_baseline: good.num_nodes(),
+            good,
+            config,
+            feeds_output: reach.feeds_output_flags(circuit),
+            reach,
+            xor_macros: XorMacros::find(circuit),
+            telemetry: None,
+        }
     }
 
     /// Collects garbage if either trigger fires: the absolute
@@ -419,51 +353,7 @@ impl<'c> DiffProp<'c> {
         if n > self.config.gc_threshold || n > adaptive.max(GC_TABLE_FLOOR) {
             self.good.gc();
             self.gc_baseline = self.good.num_nodes();
-            self.maybe_sift();
         }
-    }
-
-    /// [`OrderStrategy::Auto`]'s dynamic half: after a collection, when even
-    /// the *live* set has outgrown [`SIFT_GROWTH`] × its size at the last
-    /// reordering, run a Rudell sift over the good functions.
-    ///
-    /// Sifting is budget-exempt by construction (its level swaps never call
-    /// the budgeted `mk`; `prop_sift_budget.rs` pins that it completes,
-    /// never charges the window, and never trips even a zero-step budget),
-    /// so a budget-starved analysis can still recover a better order. It is
-    /// also invisible in results: functions are preserved node-for-node, so
-    /// every downstream scalar is bit-identical — only cost changes.
-    fn maybe_sift(&mut self) {
-        let live = self.gc_baseline;
-        // A delta manager extends a frozen base whose order is fixed; Auto's
-        // static half already sifted once before the freeze.
-        if self.good.manager().has_frozen_base() {
-            return;
-        }
-        if !self.config.order.autosifts()
-            || live <= SIFT_TABLE_FLOOR
-            || (live as f64) <= self.sift_baseline as f64 * SIFT_GROWTH
-        {
-            return;
-        }
-        let (before, after) = self.good.sift();
-        self.gc_baseline = self.good.num_nodes();
-        self.sift_baseline = self.gc_baseline.max(1);
-        self.sift_runs += 1;
-        if let Some(t) = &self.telemetry {
-            let mut c = t.borrow_mut();
-            c.add(CounterKind::SiftRuns, 1);
-            c.add(
-                CounterKind::SiftNodesReclaimed,
-                before.saturating_sub(after) as u64,
-            );
-        }
-    }
-
-    /// Dynamic reorderings this engine has run so far (always 0 unless
-    /// [`EngineConfig::order`] is [`OrderStrategy::Auto`]).
-    pub fn sift_runs(&self) -> u64 {
-        self.sift_runs
     }
 
     /// The circuit under analysis.
@@ -474,12 +364,6 @@ impl<'c> DiffProp<'c> {
     /// The shared good functions (and BDD manager).
     pub fn good(&self) -> &GoodFunctions {
         &self.good
-    }
-
-    /// Mutable access to the good functions (syndrome queries allocate
-    /// memoisation entries).
-    pub fn good_mut(&mut self) -> &mut GoodFunctions {
-        &mut self.good
     }
 
     /// Analyses one fault: initialises its difference function(s) and
@@ -589,22 +473,54 @@ impl<'c> DiffProp<'c> {
             }
         }
 
-        let p = self.propagate(init);
+        let (po_deltas, gates_propagated) = self.propagate(init);
+        let analysis = self.conclude(
+            fault.clone(),
+            po_deltas,
+            site_function_constant,
+            gates_propagated,
+        );
         if let Some(err) = self.check_budget() {
             return Err(err);
         }
-        Ok(FaultAnalysis {
-            fault: fault.clone(),
-            po_deltas: p.po_deltas,
-            test_set: p.test_set,
-            detectability: p.detectability,
-            test_count: p.test_count,
-            observable_outputs: p.observable_outputs,
+        Ok(analysis)
+    }
+
+    /// The fault-independent tail of every analysis: folds the per-output
+    /// differences into the complete test set and derives its exact
+    /// metrics. The acyclic-model fields (`fixpoint_iterations`,
+    /// `oscillation_density`) start at zero.
+    fn conclude(
+        &mut self,
+        fault: Fault,
+        po_deltas: Vec<NodeId>,
+        site_function_constant: bool,
+        gates_propagated: u32,
+    ) -> FaultAnalysis {
+        let m = self.good.manager_mut();
+        let mut test_set = NodeId::FALSE;
+        for &d in &po_deltas {
+            // `or` with ⊥ is the identity; skipping it saves the op-cache
+            // traffic without touching the result.
+            if !d.is_false() {
+                test_set = m.or(test_set, d);
+            }
+        }
+        let detectability = m.density(test_set);
+        let test_count = (m.num_vars() <= 127).then(|| m.sat_count(test_set));
+        let observable_outputs = po_deltas.iter().map(|d| !d.is_false()).collect();
+        FaultAnalysis {
+            fault,
+            po_deltas,
+            test_set,
+            detectability,
+            test_count,
+            observable_outputs,
             site_function_constant,
-            gates_propagated: p.gates_propagated,
+            gates_propagated,
             fixpoint_iterations: 0,
             oscillation_density: 0.0,
-        })
+        }
     }
 
     /// Post-analysis budget check and recovery. A tripped manager never
@@ -639,13 +555,13 @@ impl<'c> DiffProp<'c> {
     ///
     /// Honours the configured budget like [`DiffProp::try_analyze`]; a loop
     /// that fails to stabilise within the iteration cap returns
-    /// [`AnalysisError::FixpointDiverged`] with the engine recovered.
+    /// [`AnalysisError::FixpointDiverged`] with the engine recovered. Runs
+    /// inside [`DiffProp::try_analyze`], which has already collected
+    /// garbage and opened the budget window.
     fn try_analyze_bridge_fixpoint(
         &mut self,
         fault: &BridgingFault,
     ) -> Result<FaultAnalysis, AnalysisError> {
-        self.maybe_gc();
-        self.good.manager_mut().reset_budget_window();
         let circuit = self.circuit;
         let (a, b) = (fault.a, fault.b);
         // Every net either bridged wire can influence (cones are reflexive,
@@ -723,22 +639,20 @@ impl<'c> DiffProp<'c> {
             };
             po_deltas.push(delta);
         }
-        let m = self.good.manager_mut();
-        let mut test_set = NodeId::FALSE;
-        for &d in &po_deltas {
-            if !d.is_false() {
-                test_set = m.or(test_set, d);
-            }
-        }
-        let detectability = m.density(test_set);
-        let test_count = (m.num_vars() <= 127).then(|| m.sat_count(test_set));
-        let observable_outputs: Vec<bool> = po_deltas.iter().map(|d| !d.is_false()).collect();
-        let defined = m.or(w.0, w.1);
-        let oscillating = m.not(defined);
-        let oscillation_density = m.density(oscillating);
         // Constant in the definite sense: the wire settles to the same
         // value on *every* vector — the §4.2 stuck-at-behaviour test.
         let site_function_constant = w.0 == NodeId::TRUE || w.1 == NodeId::TRUE;
+        let mut analysis = self.conclude(
+            Fault::Bridging(*fault),
+            po_deltas,
+            site_function_constant,
+            gates_propagated,
+        );
+        let m = self.good.manager_mut();
+        let defined = m.or(w.0, w.1);
+        let oscillating = m.not(defined);
+        analysis.oscillation_density = m.density(oscillating);
+        analysis.fixpoint_iterations = iterations;
         if let Some(err) = self.check_budget() {
             return Err(err);
         }
@@ -747,22 +661,11 @@ impl<'c> DiffProp<'c> {
             tel.count_span(SpanKind::GateProp, gates_propagated as u64);
             tel.add(CounterKind::GatesPropagated, gates_propagated as u64);
             tel.record_hist(HistKind::FixpointIterations, iterations as u64);
-            if oscillation_density > 0.0 {
+            if analysis.oscillation_density > 0.0 {
                 tel.add(CounterKind::OscillatingFaults, 1);
             }
         }
-        Ok(FaultAnalysis {
-            fault: Fault::Bridging(*fault),
-            po_deltas,
-            test_set,
-            detectability,
-            test_count,
-            observable_outputs,
-            site_function_constant,
-            gates_propagated,
-            fixpoint_iterations: iterations,
-            oscillation_density,
-        })
+        Ok(analysis)
     }
 
     /// The dual-rail value a net's *driver* produces under `state`
@@ -850,7 +753,7 @@ impl<'c> DiffProp<'c> {
                 );
             }
         }
-        let p = self.propagate(init);
+        let (combined, gates_propagated) = self.propagate(init);
         if let Some(err) = self.check_budget() {
             return Err(err);
         }
@@ -862,7 +765,7 @@ impl<'c> DiffProp<'c> {
             // difference (or ⊥) — never this fault's, so mask it out.
             let po_deltas: Vec<NodeId> = outputs
                 .iter()
-                .zip(&p.po_deltas)
+                .zip(&combined)
                 .map(|(&o, &d)| {
                     if self.reach.reaches(flow_net, o) {
                         d
@@ -871,28 +774,7 @@ impl<'c> DiffProp<'c> {
                     }
                 })
                 .collect();
-            let m = self.good.manager_mut();
-            let mut test_set = NodeId::FALSE;
-            for &d in &po_deltas {
-                if !d.is_false() {
-                    test_set = m.or(test_set, d);
-                }
-            }
-            let detectability = m.density(test_set);
-            let test_count = (m.num_vars() <= 127).then(|| m.sat_count(test_set));
-            let observable_outputs = po_deltas.iter().map(|d| !d.is_false()).collect();
-            analyses.push(FaultAnalysis {
-                fault: Fault::StuckAt(*f),
-                po_deltas,
-                test_set,
-                detectability,
-                test_count,
-                observable_outputs,
-                site_function_constant: true,
-                gates_propagated: p.gates_propagated,
-                fixpoint_iterations: 0,
-                oscillation_density: 0.0,
-            });
+            analyses.push(self.conclude(Fault::StuckAt(*f), po_deltas, true, gates_propagated));
         }
         // The per-fault or-folds and counts above also run under the budget.
         if let Some(err) = self.check_budget() {
@@ -940,8 +822,9 @@ impl<'c> DiffProp<'c> {
     ///
     /// Cone-restricted: a primary output outside the fanout cone of every
     /// [`SiteInit::flow_nets`] entry carries a structurally ⊥ difference, so
-    /// it is skipped in the collection and in the test-set `or`-reduction;
-    /// gates that feed no primary output never enter the frontier. Both
+    /// it reads ⊥ without consulting the difference map (and the test-set
+    /// fold skips it); gates that feed no primary output never enter the
+    /// frontier. Both
     /// skips elide work whose result is the identity, so every returned
     /// value is bit-identical to the unrestricted engine's.
     ///
@@ -952,7 +835,10 @@ impl<'c> DiffProp<'c> {
     /// skipped: a worklist hit on them just enqueues the macro output, which
     /// takes the XOR row. The internal nets feed nothing else, and OBDDs are
     /// canonical, so every result is bit-identical to gate-by-gate.
-    fn propagate(&mut self, init: SiteInit) -> Propagated {
+    ///
+    /// Returns the per-output differences (output order) and the number of
+    /// gates propagated.
+    fn propagate(&mut self, init: SiteInit) -> (Vec<NodeId>, u32) {
         let circuit = self.circuit;
         // Reading the level once keeps the per-gate path to a plain branch;
         // only `Detailed` pays for per-gate clock reads.
@@ -1070,18 +956,6 @@ impl<'c> DiffProp<'c> {
                 }
             })
             .collect();
-        let m = self.good.manager_mut();
-        let mut test_set = NodeId::FALSE;
-        for (&d, &live) in po_deltas.iter().zip(&po_live) {
-            // `or` with ⊥ is the identity; skipping it saves the op-cache
-            // traffic without touching the result.
-            if live && !d.is_false() {
-                test_set = m.or(test_set, d);
-            }
-        }
-        let detectability = m.density(test_set);
-        let test_count = (m.num_vars() <= 127).then(|| m.sat_count(test_set));
-        let observable_outputs = po_deltas.iter().map(|d| !d.is_false()).collect();
         if let Some(tel) = &self.telemetry {
             let mut tel = tel.borrow_mut();
             if !detailed {
@@ -1090,14 +964,7 @@ impl<'c> DiffProp<'c> {
             }
             tel.add(CounterKind::GatesPropagated, gates_propagated as u64);
         }
-        Propagated {
-            po_deltas,
-            test_set,
-            detectability,
-            test_count,
-            observable_outputs,
-            gates_propagated,
-        }
+        (po_deltas, gates_propagated)
     }
 
     /// One explicit test vector for the fault, or `None` if undetectable.
@@ -1523,9 +1390,10 @@ mod tests {
                 budget: BudgetConfig::with_max_nodes(max_nodes),
                 ..Default::default()
             };
-            let Ok(mut dp) = DiffProp::try_with_config(&c, config) else {
+            let Ok(snapshot) = DiffProp::build_snapshot(&c, config) else {
                 continue;
             };
+            let mut dp = DiffProp::from_snapshot(&c, &snapshot, config);
             for fault in &faults {
                 match dp.try_analyze(fault) {
                     Ok(a) => {
@@ -1556,13 +1424,13 @@ mod tests {
     }
 
     #[test]
-    fn try_with_config_rejects_impossible_budgets() {
+    fn build_snapshot_rejects_impossible_budgets() {
         let c = c95();
         let config = EngineConfig {
             budget: BudgetConfig::with_max_nodes(4),
             ..Default::default()
         };
-        match DiffProp::try_with_config(&c, config) {
+        match DiffProp::build_snapshot(&c, config) {
             Err(AnalysisError::BudgetExceeded(e)) => {
                 assert!(e.to_string().contains("budget"), "{e}");
             }
@@ -1719,7 +1587,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_from_snapshot_agrees_with_private_manager() {
+    fn batch_keeps_the_shared_base_and_matches_singles() {
         let c = alu74181();
         let snapshot = DiffProp::build_snapshot(&c, EngineConfig::default()).unwrap();
         let digest = snapshot.table_digest();
@@ -1767,96 +1635,5 @@ mod tests {
             batch[0].detectability.to_bits(),
             single.detectability.to_bits()
         );
-    }
-
-    // -----------------------------------------------------------------
-    // The Auto-sift trigger policy, pinned white-box: the real workloads
-    // that cross SIFT_TABLE_FLOOR live nodes (the deep surrogates) are too
-    // big for unit tests, so these fabricate the trigger's inputs directly
-    // and check the decision, the baseline resets, and result invariance.
-    // -----------------------------------------------------------------
-
-    fn auto_dp(c: &Circuit) -> DiffProp<'_> {
-        DiffProp::with_config(
-            c,
-            EngineConfig {
-                order: OrderStrategy::Auto,
-                ..Default::default()
-            },
-        )
-    }
-
-    #[test]
-    fn auto_sift_fires_above_floor_and_growth_and_preserves_results() {
-        let c = c95();
-        let mut reference = DiffProp::new(&c);
-        let mut dp = auto_dp(&c);
-        // Fabricate a post-gc live set over the floor and over 2x the last
-        // sift baseline: the trigger must fire exactly once.
-        dp.gc_baseline = SIFT_TABLE_FLOOR + 1;
-        dp.sift_baseline = 1;
-        dp.maybe_sift();
-        assert_eq!(dp.sift_runs(), 1);
-        // Both baselines re-anchor to the actual (small) live size, so an
-        // immediate re-check cannot fire again.
-        assert_eq!(dp.gc_baseline, dp.good.num_nodes());
-        assert_eq!(dp.sift_baseline, dp.gc_baseline.max(1));
-        dp.maybe_sift();
-        assert_eq!(dp.sift_runs(), 1, "re-fire without growth");
-        // Reordering is invisible in results: every scalar bit-identical.
-        for f in checkpoint_faults(&c).into_iter().take(8) {
-            let fault = Fault::from(f);
-            let a = dp.analyze(&fault);
-            let e = reference.analyze(&fault);
-            assert_eq!(a.test_count, e.test_count, "{fault}");
-            assert_eq!(a.detectability.to_bits(), e.detectability.to_bits());
-            assert_eq!(a.observable_outputs, e.observable_outputs);
-        }
-    }
-
-    #[test]
-    fn auto_sift_holds_below_floor_or_growth_or_without_auto() {
-        let c = c95();
-        // At the floor exactly: too small to be worth reordering.
-        let mut dp = auto_dp(&c);
-        dp.gc_baseline = SIFT_TABLE_FLOOR;
-        dp.sift_baseline = 1;
-        dp.maybe_sift();
-        assert_eq!(dp.sift_runs(), 0, "at/below SIFT_TABLE_FLOOR");
-        // Over the floor but within 2x of the last baseline: no churn.
-        let mut dp = auto_dp(&c);
-        dp.gc_baseline = SIFT_TABLE_FLOOR + 1;
-        dp.sift_baseline = SIFT_TABLE_FLOOR;
-        dp.maybe_sift();
-        assert_eq!(dp.sift_runs(), 0, "within SIFT_GROWTH of baseline");
-        // Static strategies never sift, whatever the table does.
-        let mut dp = DiffProp::with_config(
-            &c,
-            EngineConfig {
-                order: OrderStrategy::FaninDfs,
-                ..Default::default()
-            },
-        );
-        dp.gc_baseline = usize::MAX / 2;
-        dp.sift_baseline = 1;
-        dp.maybe_sift();
-        assert_eq!(dp.sift_runs(), 0, "non-auto strategy");
-    }
-
-    #[test]
-    fn auto_sift_records_telemetry_counters() {
-        use dp_telemetry::{Collector, TelemetryLevel};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let c = c95();
-        let collector: SharedCollector =
-            Rc::new(RefCell::new(Collector::new(TelemetryLevel::Aggregate)));
-        let mut dp = auto_dp(&c);
-        dp.attach_collector(Rc::clone(&collector));
-        dp.gc_baseline = SIFT_TABLE_FLOOR + 1;
-        dp.sift_baseline = 1;
-        dp.maybe_sift();
-        let snapshot = collector.borrow().snapshot();
-        assert_eq!(snapshot.counter(CounterKind::SiftRuns), 1);
     }
 }

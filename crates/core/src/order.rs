@@ -26,9 +26,11 @@ pub enum OrderStrategy {
     /// Fanin-weighted depth-first traversal
     /// ([`dp_netlist::ordering::fanin_dfs_order`]).
     FaninDfs,
-    /// [`OrderStrategy::FaninDfs`] statically, plus budget-exempt dynamic
-    /// sifting mid-sweep whenever the live node count outgrows the last
-    /// reordered size (see `DiffProp::maybe_gc`).
+    /// [`OrderStrategy::FaninDfs`] plus one pre-freeze sift: a Rudell pass
+    /// over the built good functions before
+    /// [`DiffProp::build_snapshot`](crate::DiffProp::build_snapshot) freezes
+    /// them (tables past a small floor only). Nothing reorders after the
+    /// freeze.
     Auto,
     /// A seeded pseudo-random permutation (Fisher–Yates over splitmix64).
     /// Exists for the order-invariance test layer; never a good idea for
@@ -62,7 +64,8 @@ impl OrderStrategy {
         }
     }
 
-    /// `true` when the engine should also sift dynamically mid-sweep.
+    /// `true` when [`DiffProp::build_snapshot`](crate::DiffProp::build_snapshot)
+    /// sifts the good functions once before freezing them.
     pub fn autosifts(self) -> bool {
         matches!(self, OrderStrategy::Auto)
     }

@@ -150,7 +150,8 @@ pub enum CounterKind {
     ClassesAnalyzed,
     /// Fault summaries produced.
     FaultsSummarized,
-    /// Mid-sweep dynamic reorderings (`sift`) the engine triggered.
+    /// Pre-freeze sifts the sweep's snapshot build ran (one at most, and
+    /// none when the sweep reused a cached snapshot).
     SiftRuns,
     /// Live nodes reclaimed by those sifts (size before minus size after,
     /// summed over runs).

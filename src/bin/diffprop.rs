@@ -36,8 +36,8 @@
 //!   execution detail. Observation-only: the printed rows are byte-identical
 //!   with and without the flag.
 //! * `--order S` picks the OBDD variable-order strategy (`identity`,
-//!   `fanin-dfs`, `auto`, `random:<seed>`); `auto` adds dynamic sifting when
-//!   the live node count outgrows the last reordered size. Execution-only:
+//!   `fanin-dfs`, `auto`, `random:<seed>`); `auto` is fanin-DFS plus one
+//!   pre-freeze sift of the good functions. Execution-only:
 //!   the printed rows are byte-identical across strategies, but on the deep
 //!   surrogates (`c432s`...) a good order is orders of magnitude faster.
 //! * `--batch N` caps the cone-disjoint fault batches fused into single
@@ -105,7 +105,7 @@ fn usage() -> ! {
          --telemetry PATH      write a machine-readable sweep_report.json to PATH\n\
                                (analyze command; printed rows are unchanged)\n\
          --order S             OBDD variable-order strategy (default identity);\n\
-                               auto = fanin-dfs + dynamic sifting. Rows are identical\n\
+                               auto = fanin-dfs plus one pre-freeze sift. Rows are identical\n\
                                across strategies, wall clock is not\n\
          --batch N             max cone-disjoint faults fused per propagation pass\n\
                                (default 8, 1 disables fusion; rows are identical)\n\

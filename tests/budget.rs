@@ -51,7 +51,8 @@ proptest! {
         let config = EngineConfig { budget, ..Default::default() };
         // The build itself may blow the budget; that is a legal outcome,
         // not a test failure.
-        if let Ok(mut budgeted) = DiffProp::try_with_config(&circuit, config) {
+        if let Ok(snapshot) = DiffProp::build_snapshot(&circuit, config) {
+            let mut budgeted = DiffProp::from_snapshot(&circuit, &snapshot, config);
             for f in checkpoint_faults(&circuit).into_iter().take(12) {
                 let fault = Fault::from(f);
                 let exact = reference.analyze(&fault);

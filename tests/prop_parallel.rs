@@ -62,7 +62,7 @@ fn assert_stats_consistent(sweep: &SweepResult) {
             report.shard
         );
         for kind in OpKind::ALL {
-            let c = s[kind];
+            let c = s.op_cumulative(kind);
             assert_eq!(
                 c.hits + c.misses,
                 c.lookups,
@@ -70,7 +70,7 @@ fn assert_stats_consistent(sweep: &SweepResult) {
                 report.shard
             );
         }
-        let total = s.op_total();
+        let total = s.op_cumulative_total();
         assert_eq!(total.hits + total.misses, total.lookups);
         // Every unique-table miss allocates exactly one node and nothing
         // else does, so the peak is bracketed by the starting table (the
@@ -191,7 +191,7 @@ proptest! {
         let s = manager.stats();
         prop_assert_eq!(s.unique.hits + s.unique.misses, s.unique.lookups);
         for kind in OpKind::ALL {
-            let c = s[kind];
+            let c = s.op_cumulative(kind);
             prop_assert_eq!(c.hits + c.misses, c.lookups);
         }
         // The live node table can never exceed the recorded peak.

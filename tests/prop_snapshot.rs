@@ -12,8 +12,9 @@
 mod common;
 
 use common::{assert_matches_golden, current_golden_lines, stuck_at_universe};
+use diffprop::bdd::Manager;
 use diffprop::core::{DiffProp, EngineConfig, OrderStrategy, Parallelism, SweepConfig};
-use diffprop::netlist::generators::{c1908_surrogate, c499_surrogate, c95};
+use diffprop::netlist::generators::{alu74181, c1908_surrogate, c499_surrogate, c95};
 
 fn config(parallelism: Parallelism, order: OrderStrategy) -> SweepConfig {
     SweepConfig {
@@ -109,4 +110,49 @@ fn sifted_auto_snapshots_keep_their_table_digests() {
             snapshot.table_digest()
         );
     }
+}
+
+/// One engine lifecycle: a standalone `Auto` engine thaws the same sifted
+/// snapshot a sweep does, so its manager carries the pre-freeze sift's
+/// order, not the unsifted fanin-DFS one.
+#[test]
+fn standalone_auto_engines_carry_the_sifted_snapshot_order() {
+    let circuit = c1908_surrogate();
+    let config = EngineConfig {
+        order: OrderStrategy::Auto,
+        ..Default::default()
+    };
+    let snapshot = DiffProp::build_snapshot(&circuit, config).unwrap();
+    let sifted = snapshot.frozen().order();
+    assert_ne!(
+        sifted,
+        OrderStrategy::FaninDfs.resolve(&circuit).as_slice(),
+        "the c1908s sift moves the order"
+    );
+    let dp = DiffProp::with_config(&circuit, config);
+    assert_eq!(dp.good().manager().order(), sifted);
+}
+
+/// The kernel alone sizes the operation cache: a thawed engine starts at
+/// the kernel default, and its first analysis grows the cache to cover the
+/// node arena, frozen base included.
+#[test]
+fn thawed_engines_start_at_the_kernel_op_cache_and_grow_with_the_arena() {
+    let kernel_default = Manager::new(1).op_cache_capacity();
+    let alu = alu74181();
+    let snapshot = DiffProp::build_snapshot(&alu, EngineConfig::default()).unwrap();
+    let dp = DiffProp::from_snapshot(&alu, &snapshot, EngineConfig::default());
+    assert_eq!(dp.good().manager().op_cache_capacity(), kernel_default);
+
+    let c499 = c499_surrogate();
+    let snapshot = DiffProp::build_snapshot(&c499, EngineConfig::default()).unwrap();
+    let mut dp = DiffProp::from_snapshot(&c499, &snapshot, EngineConfig::default());
+    let fault = &stuck_at_universe(&c499)[0];
+    assert!(dp.analyze(fault).is_detectable());
+    assert!(
+        dp.good().manager().op_cache_capacity() >= snapshot.num_nodes().next_power_of_two(),
+        "op cache {} slots under a {}-node base",
+        dp.good().manager().op_cache_capacity(),
+        snapshot.num_nodes()
+    );
 }
